@@ -13,9 +13,12 @@
 //!   immutable segment file (`seg-NNNNNNNN.jsonl`), one JSON object per
 //!   line carrying `key`, `stamp` (unix seconds, for TTL), `payload`
 //!   (an arbitrary JSON value), and `sum` (an FNV-1a-64 checksum of the
-//!   rest of the line). Segments are written to a temp file and
-//!   published with an atomic rename, so a crash can never leave a
-//!   half-written segment under its final name.
+//!   rest of the line, exactly 16 lowercase hex digits). The checksum
+//!   is verified over the raw line bytes as written, so opening a store
+//!   costs one parse and one hash pass per line and never re-serializes
+//!   a payload. Segments are written to a temp file and published with
+//!   an atomic rename, so a crash can never leave a half-written segment
+//!   under its final name.
 //! * **Manifest.** `manifest.json` lists the live segments in order. It
 //!   is itself replaced atomically. The manifest is an accelerator, not
 //!   the source of truth: segments are self-validating, so a missing or
@@ -23,9 +26,10 @@
 //!   segment published after a crash that lost the manifest update is
 //!   *adopted* on the next open.
 //! * **Corruption quarantine.** A segment with any unparsable or
-//!   checksum-mismatching line is renamed to `*.quarantined` on open
-//!   and none of its entries are used — corrupted data is never
-//!   silently served; the affected trials simply re-execute.
+//!   checksum-mismatching line, or any line not in the writer's exact
+//!   layout, is renamed to `*.quarantined` on open and none of its
+//!   entries are used — corrupted data is never silently served; the
+//!   affected trials simply re-execute.
 //! * **First write wins.** Duplicate keys across segments resolve to
 //!   the earliest entry, so replays and merges are idempotent.
 //! * **TTL/GC compaction.** [`Store::gc`] drops entries stamped before

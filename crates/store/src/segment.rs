@@ -1,10 +1,12 @@
 //! Segment line format: one self-checking JSON object per entry.
 //!
 //! A line is `{"key":K,"stamp":S,"payload":P,"sum":H}` where `H` is the
-//! FNV-1a-64 checksum (16 lowercase hex digits) of the compact
-//! serialization of the same object *without* the `sum` field. The
-//! checksum makes every line independently verifiable, so truncation
-//! and bit-rot are detected on read rather than silently aggregated.
+//! FNV-1a-64 checksum (exactly 16 lowercase hex digits) of the compact
+//! serialization of the same object *without* the `sum` field: the
+//! line's own bytes before `,"sum":`, closed by `}`. The checksum makes
+//! every line independently verifiable from its raw bytes, so truncation
+//! and bit-rot are detected on read rather than silently aggregated; a
+//! line not in the writer's exact layout counts as corrupt.
 
 use serde::Value;
 
@@ -22,55 +24,42 @@ pub struct Entry {
 /// FNV-1a 64-bit hash — small, dependency-free, and plenty for
 /// detecting truncation and corruption (not an integrity MAC).
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
+    fnv1a64_continue(0xcbf2_9ce4_8422_2325, bytes)
 }
 
-/// The compact serialization of an entry without its checksum — the
-/// exact byte string the checksum covers.
-fn body_json(entry: &Entry) -> String {
-    let body = Value::Object(vec![
-        ("key".to_string(), Value::String(entry.key.clone())),
-        ("stamp".to_string(), Value::UInt(entry.stamp)),
-        ("payload".to_string(), entry.payload.clone()),
-    ]);
-    serde_json::to_string(&body).expect("value serializes")
+/// Continues an FNV-1a-64 hash. Each step is a bijection on the state,
+/// so changing any one input byte changes the result.
+fn fnv1a64_continue(hash: u64, bytes: &[u8]) -> u64 {
+    bytes.iter().fold(hash, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3))
 }
 
 /// Encodes an entry as one JSONL line (no trailing newline).
 pub fn encode_line(entry: &Entry) -> String {
-    let body = body_json(entry);
+    let key = Value::String(entry.key.clone());
+    let body = format!("{{\"key\":{key},\"stamp\":{},\"payload\":{}}}", entry.stamp, entry.payload);
     let sum = fnv1a64(body.as_bytes());
-    let full = Value::Object(vec![
-        ("key".to_string(), Value::String(entry.key.clone())),
-        ("stamp".to_string(), Value::UInt(entry.stamp)),
-        ("payload".to_string(), entry.payload.clone()),
-        ("sum".to_string(), Value::String(format!("{sum:016x}"))),
-    ]);
-    serde_json::to_string(&full).expect("value serializes")
+    format!("{},\"sum\":\"{sum:016x}\"}}", &body[..body.len() - 1])
 }
 
 /// Decodes and verifies one segment line. `None` means the line is
-/// corrupt (unparsable, missing fields, or checksum mismatch) — the
-/// caller quarantines the whole segment.
+/// corrupt (not in the writer's layout, unparsable, wrong field types,
+/// or checksum mismatch) — the caller quarantines the whole segment.
 pub fn decode_line(line: &str) -> Option<Entry> {
-    let value = serde_json::from_str(line).ok()?;
-    let key = value.get("key")?.as_str()?.to_string();
-    let stamp = value.get("stamp")?.as_u64()?;
-    let payload = value.get("payload")?.clone();
-    let sum = u64::from_str_radix(value.get("sum")?.as_str()?, 16).ok()?;
-    let entry = Entry { key, stamp, payload };
-    // The payload re-serializes byte-identically to what was hashed at
-    // write time: parsing preserves number kinds (UInt/Int/Float) and
-    // object field order, and float formatting is shortest-round-trip.
-    if fnv1a64(body_json(&entry).as_bytes()) == sum {
-        Some(entry)
-    } else {
-        None
+    // The writer hashed `body` + `}`, then closed the line with the
+    // fixed 26-byte `,"sum":"<16 lowercase hex>"}` instead of that `}`.
+    let (body, suffix) = line.split_at_checked(line.len().checked_sub(26)?)?;
+    let hex = suffix.strip_prefix(",\"sum\":\"")?.strip_suffix("\"}")?;
+    if hex != format!("{:016x}", fnv1a64_continue(fnv1a64(body.as_bytes()), b"}")) {
+        return None;
+    }
+    let Value::Object(fields) = serde_json::from_str(line).ok()? else { return None };
+    match <[(String, Value); 4]>::try_from(fields).ok()? {
+        [(k, Value::String(key)), (s, stamp), (p, payload), (h, _)]
+            if [&k, &s, &p, &h] == ["key", "stamp", "payload", "sum"] =>
+        {
+            Some(Entry { key, stamp: stamp.as_u64()?, payload })
+        }
+        _ => None,
     }
 }
 
@@ -121,13 +110,64 @@ mod tests {
         // Garbage.
         assert_eq!(decode_line("not json at all"), None);
         assert_eq!(decode_line("{\"key\":\"k\"}"), None);
+        // An upper-case checksum is not the writer's layout.
+        assert_eq!(decode_line(&line.replace("384025c2a321a104", "384025C2A321A104")), None);
     }
+
+    /// A line whose checksum matches its own bytes but whose layout
+    /// differs from the writer's.
+    fn self_consistent_line(body: &str) -> String {
+        let sum = fnv1a64(body.as_bytes());
+        format!("{},\"sum\":\"{sum:016x}\"}}", &body[..body.len() - 1])
+    }
+
+    #[test]
+    fn only_the_writers_layout_is_accepted() {
+        let e = Entry { key: "k".into(), stamp: 1, payload: Value::Null };
+        let good = self_consistent_line(r#"{"key":"k","stamp":1,"payload":null}"#);
+        assert_eq!(good, encode_line(&e));
+        assert_eq!(decode_line(&good), Some(e));
+        for body in [
+            r#"{"stamp":1,"key":"k","payload":null}"#,
+            r#"{"key":"k","stamp":1,"payload":null,"extra":0}"#,
+            r#"{"key":"k","stamp":-1,"payload":null}"#,
+            r#"{"key":7,"stamp":1,"payload":null}"#,
+            r#"{"key":"k","stamp":1}"#,
+        ] {
+            assert_eq!(decode_line(&self_consistent_line(body)), None, "{body}");
+        }
+        // The checksum covers the bytes as written, not a re-serialization.
+        assert_eq!(decode_line(&good.replace(":null", ": null")), None);
+    }
+
+    /// `encode_line(&entry())` as written by every store so far.
+    const GOLDEN_LINE: &str = concat!(
+        r#"{"key":"SleepingMIS@gnp-avg8:4020000000000000/n=96#xAuto#s0000000000051ee9/t00ff","#,
+        r#""stamp":1753833600,"payload":{"node_avg_awake":0.000030517578125,"worst_round":17,"#,
+        r#""valid":true,"nested":[1,2.5,"x"]},"sum":"384025c2a321a104"}"#
+    );
 
     #[test]
     fn checksum_is_stable() {
         assert_eq!(fnv1a64(b""), 0xcbf2_9ce4_8422_2325);
         assert_eq!(fnv1a64(b"a"), 0xaf63_dc4c_8601_ec8c);
-        let e = entry();
-        assert_eq!(encode_line(&e), encode_line(&e));
+        assert_eq!(encode_line(&entry()), GOLDEN_LINE);
+    }
+
+    #[test]
+    fn every_single_bit_flip_of_a_line_is_rejected() {
+        assert_eq!(decode_line(GOLDEN_LINE), Some(entry()));
+        let mut line = GOLDEN_LINE.as_bytes().to_vec();
+        for at in 0..line.len() {
+            for bit in 0..8 {
+                line[at] ^= 1 << bit;
+                // Invalid UTF-8 condemns the whole segment before any line
+                // is decoded; everything else must fail `decode_line`.
+                if let Ok(mutant) = std::str::from_utf8(&line) {
+                    assert_eq!(decode_line(mutant), None, "bit {bit} of byte {at} flipped");
+                }
+                line[at] ^= 1 << bit;
+            }
+        }
     }
 }

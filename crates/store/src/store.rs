@@ -4,7 +4,7 @@
 use crate::error::StoreError;
 use crate::segment::{decode_line, encode_line, Entry};
 use serde::Value;
-use std::collections::BTreeMap;
+use std::collections::{btree_map, BTreeMap};
 use std::fs;
 use std::io::Write;
 use std::path::{Path, PathBuf};
@@ -379,14 +379,15 @@ impl Store {
         }
         let mut live = 0u64;
         for e in decoded {
-            if self.index.contains_key(&e.key) {
+            match self.index.entry(e.key.clone()) {
                 // Shadowed by an earlier segment (first write wins);
                 // dropping it here keeps losers out of memory entirely.
-                self.stats_duplicates += 1;
-            } else {
-                self.index.insert(e.key.clone(), self.entries.len());
-                self.entries.push(e);
-                live += 1;
+                btree_map::Entry::Occupied(_) => self.stats_duplicates += 1,
+                btree_map::Entry::Vacant(slot) => {
+                    slot.insert(self.entries.len());
+                    self.entries.push(e);
+                    live += 1;
+                }
             }
         }
         self.segments.push(SegmentMeta { name: name.to_string(), entries: live });
