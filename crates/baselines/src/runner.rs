@@ -4,8 +4,8 @@ use crate::{Ghaffari, GreedyCrt, LubyA, LubyB};
 use serde::{Deserialize, Serialize};
 use sleepy_graph::{Graph, NodeId};
 use sleepy_net::{
-    run_protocol, run_protocol_taped, run_protocol_with_sink, EngineConfig, EngineError,
-    RunMetrics, Tape, TraceSink,
+    run_protocol_taped, run_protocol_with_sink, EngineConfig, EngineError, NullSink, RunMetrics,
+    Tape, TraceSink,
 };
 
 /// Which baseline MIS algorithm to run.
@@ -76,25 +76,12 @@ pub fn run_baseline(
     seed: u64,
     engine_config: &EngineConfig,
 ) -> Result<BaselineRun, EngineError> {
-    match kind {
-        BaselineKind::LubyA => {
-            collect(run_protocol(graph, engine_config, |id, _| LubyA::new(id, seed))?)
-        }
-        BaselineKind::LubyB => {
-            collect(run_protocol(graph, engine_config, |id, _| LubyB::new(id, seed))?)
-        }
-        BaselineKind::GreedyCrt => {
-            collect(run_protocol(graph, engine_config, |id, _| GreedyCrt::new(id, seed))?)
-        }
-        BaselineKind::Ghaffari => {
-            collect(run_protocol(graph, engine_config, |id, _| Ghaffari::new(id, seed))?)
-        }
-    }
+    run_baseline_with_sink(graph, kind, seed, engine_config, &mut NullSink)
 }
 
 /// [`run_baseline`] with the engine streaming every protocol event into
 /// `sink` — the entry point for round-timeline recorders and schedule
-/// validators (`config.trace` flags are ignored on this path).
+/// validators.
 ///
 /// # Errors
 ///

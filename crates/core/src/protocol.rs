@@ -38,8 +38,8 @@ use crate::rank::{greedy_key, NodeRandomness};
 use crate::schedule::Schedule;
 use sleepy_graph::{Graph, NodeId, Port};
 use sleepy_net::{
-    run_protocol, run_protocol_taped, run_protocol_with_sink, Action, EngineConfig, Incoming,
-    MessageSize, NodeCtx, Outbox, Protocol, Round, RunMetrics, Tape, Trace, TraceSink,
+    run_protocol_taped, run_protocol_with_sink, Action, EngineConfig, Incoming, MessageSize,
+    NodeCtx, NullSink, Outbox, Protocol, Round, RunMetrics, Tape, TraceSink,
 };
 
 /// Tri-state MIS status, as stored in `v.inMIS` by the paper's pseudocode.
@@ -578,8 +578,6 @@ pub struct MisRunResult {
     pub base_timeouts: Vec<NodeId>,
     /// Engine metrics (awake rounds, finish rounds, messages, …).
     pub metrics: RunMetrics,
-    /// Engine trace, if requested.
-    pub trace: Option<Trace>,
 }
 
 /// Runs SleepingMIS (Algorithm 1) or Fast-SleepingMIS (Algorithm 2) on
@@ -610,18 +608,13 @@ pub fn run_sleeping_mis(
     config: MisConfig,
     engine_config: &EngineConfig,
 ) -> Result<MisRunResult, MisError> {
-    let prepared = PreparedMis::new(graph.n(), config)?;
-    let outcome = run_protocol(graph, engine_config, |id, _ctx| {
-        SleepingMisProtocol::new(id, prepared.clone())
-    })?;
-    Ok(collect_mis(outcome))
+    run_sleeping_mis_with_sink(graph, config, engine_config, &mut NullSink)
 }
 
 /// [`run_sleeping_mis`] with the engine streaming every protocol event
-/// into `sink` instead of (or in addition to) buffering a [`Trace`] —
-/// the entry point for round-timeline recorders and schedule validators.
-/// The returned result's `trace` is always `None`; tee a
-/// [`TraceBuffer`](sleepy_net::TraceBuffer) into `sink` to keep one.
+/// into `sink` — the entry point for round-timeline recorders and
+/// schedule validators; pass a [`TraceBuffer`](sleepy_net::TraceBuffer)
+/// to keep a [`Trace`](sleepy_net::Trace).
 ///
 /// # Errors
 ///
@@ -679,7 +672,7 @@ fn collect_mis(outcome: sleepy_net::RunOutcome<NodeOutput>) -> MisRunResult {
             base_timeouts.push(id as NodeId);
         }
     }
-    MisRunResult { in_mis, base_timeouts, metrics: outcome.metrics, trace: outcome.trace }
+    MisRunResult { in_mis, base_timeouts, metrics: outcome.metrics }
 }
 
 #[cfg(test)]

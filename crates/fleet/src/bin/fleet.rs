@@ -36,10 +36,6 @@ USAGE:
     fleet bench-churn [BENCH OPTIONS]
                                     measure incremental absorb throughput
                                     (in-place DynGraph vs CSR rebuild)
-    fleet bench-wakes [WAKES OPTIONS]
-                                    measure wake-alarm queue throughput
-                                    (binary heap vs timer wheel), gated on
-                                    bit-identical behavior of both queues
     fleet record-tape [TAPE OPTIONS]
                                     run one algorithm and write the engine
                                     input/output exchange as a versioned
@@ -173,22 +169,6 @@ BENCH-CHURN OPTIONS:
   and memberships are bit-identical and the in-place path performed
   zero CSR rebuilds.
 
-BENCH-WAKES OPTIONS:
-    --sizes LIST      alarm-set sizes to sweep (default: 1000,10000,100000)
-    --cycles N        sleep/wake cycles per alarm in a batch (default: 16)
-    --seed S          base seed (default: 0xA1A3)
-    --out FILE        machine-readable result JSON (default:
-                      BENCH_wakes.json; `-` skips the file)
-    --smoke           tiny equivalence check for CI: sizes 64,256,
-                      4 cycles, no timing claims, no file unless
-                      --out is given
-
-  Every bench-wakes run first drives the SAME deterministic
-  schedule/pop workload through both queue implementations and fails
-  unless their pop sequences and deadlines are bit-identical, then
-  runs Alg1 and Luby-B end-to-end under each queue and fails unless
-  traces, metrics and outputs match byte-for-byte.
-
 RECORD-TAPE OPTIONS:
     --algo NAME       one of alg1,alg2,luby-a,luby-b,greedy,ghaffari
                       (required)
@@ -196,7 +176,7 @@ RECORD-TAPE OPTIONS:
     --n N             node count (default: 16)
     --seed S          trial seed: graph instance + algorithm coins
                       (default: 1)
-    --loss P          message-loss probability (default: 0)
+    --loss P          i.i.d. message-loss probability (default: 0)
     --loss-seed S     loss-process seed (default: 0)
     --fault-burst E,X,G,B
                       Gilbert–Elliott burst loss: enter/exit
@@ -212,6 +192,9 @@ RECORD-TAPE OPTIONS:
     --max-rounds R    engine round cap; exceeding it records the error
                       in the tape (still a valid conformance artifact)
     --out FILE        tape path (default: tape_<algo>_n<N>_s<SEED>.jsonl)
+
+  A nonzero --loss, --fault-burst, --fault-crash and --fault-partition
+  are mutually exclusive, and every component of a spec must parse.
 
   Replay needs no protocol code and no RNG: the tape carries the graph,
   the engine config and the full input stream, and pins the output
@@ -476,7 +459,6 @@ fn main() -> ExitCode {
         Some("merge") => return run_merge(),
         Some("gc") => return run_gc(),
         Some("bench-churn") => return run_bench_churn(),
-        Some("bench-wakes") => return run_bench_wakes(),
         Some("record-tape") => return run_record_tape(),
         Some("replay") => return run_replay(),
         Some("chaos") => return run_chaos(),
@@ -1167,287 +1149,6 @@ fn run_bench_churn() -> ExitCode {
     ExitCode::SUCCESS
 }
 
-struct BenchWakesArgs {
-    sizes: Vec<usize>,
-    cycles: usize,
-    seed: u64,
-    out: Option<PathBuf>,
-    smoke: bool,
-}
-
-fn parse_bench_wakes_args() -> Result<Option<BenchWakesArgs>, String> {
-    let mut args = BenchWakesArgs {
-        sizes: vec![1_000, 10_000, 100_000],
-        cycles: 16,
-        seed: 0xA1A3,
-        out: Some(PathBuf::from("BENCH_wakes.json")),
-        smoke: false,
-    };
-    let mut out_given = false;
-    let mut it = std::env::args().skip(2);
-    while let Some(flag) = it.next() {
-        let mut value = |flag: &str| it.next().ok_or_else(|| format!("missing value for {flag}"));
-        match flag.as_str() {
-            "--help" | "-h" => {
-                println!("{USAGE}");
-                return Ok(None);
-            }
-            "--sizes" => {
-                args.sizes = value("--sizes")?
-                    .split(',')
-                    .map(|s| s.parse::<usize>().map_err(|_| format!("bad size `{s}`")))
-                    .collect::<Result<_, _>>()?;
-            }
-            "--cycles" => {
-                args.cycles =
-                    value("--cycles")?.parse().map_err(|_| "bad --cycles value".to_string())?;
-                if args.cycles == 0 {
-                    return Err("--cycles must be >= 1".to_string());
-                }
-            }
-            "--seed" => {
-                let v = value("--seed")?;
-                args.seed = parse_u64_maybe_hex(&v).ok_or(format!("bad --seed `{v}`"))?;
-            }
-            "--out" => {
-                let v = value("--out")?;
-                args.out = (v != "-").then(|| PathBuf::from(v));
-                out_given = true;
-            }
-            "--smoke" => args.smoke = true,
-            other => return Err(format!("unknown `fleet bench-wakes` flag `{other}`")),
-        }
-    }
-    if args.smoke {
-        args.sizes = vec![64, 256];
-        args.cycles = 4;
-        if !out_given {
-            args.out = None;
-        }
-    }
-    Ok(Some(args))
-}
-
-/// One alarm-set-size measurement of `fleet bench-wakes`.
-struct WakeBenchRow {
-    n: usize,
-    ops: u64,
-    heap_secs: f64,
-    heap_ops: f64,
-    wheel_secs: f64,
-    wheel_ops: f64,
-}
-
-/// Drives one deterministic schedule/pop workload through `queue`: every
-/// node starts with a pending alarm, and each pop reschedules the node
-/// with a SplitMix64-derived delta (3/4 short hops inside the wheel's
-/// 256-slot window, 1/4 long hops into its overflow map) until it has
-/// slept `cycles` times. Returns the operation count; when `record` is
-/// given, also appends every `(round, node)` pop and each round's
-/// post-pop deadline for bit-exact cross-queue comparison.
-fn drive_alarms(
-    queue: &mut sleepy_net::AlarmQueue,
-    n: usize,
-    cycles: usize,
-    seed: u64,
-    mut record: Option<&mut Vec<(u64, u64)>>,
-) -> u64 {
-    use sleepy_fleet::splitmix64;
-    let mut remaining = vec![cycles; n];
-    for v in 0..n as u64 {
-        queue.schedule(1 + splitmix64(seed ^ v) % 512, v as sleepy_graph::NodeId);
-    }
-    let mut ops = n as u64;
-    let mut due = Vec::new();
-    let mut k = 0u64;
-    while let Some(round) = queue.next_deadline() {
-        due.clear();
-        queue.pop_due(round, &mut due);
-        for &v in &due {
-            ops += 1;
-            if let Some(rec) = record.as_deref_mut() {
-                rec.push((round, v as u64));
-            }
-            remaining[v as usize] -= 1;
-            if remaining[v as usize] > 0 {
-                k += 1;
-                let r = splitmix64(seed ^ (k << 24) ^ v as u64);
-                let delta =
-                    if r.is_multiple_of(4) { 256 + (r >> 8) % 7936 } else { 1 + (r >> 8) % 255 };
-                queue.schedule(round + delta, v);
-                ops += 1;
-            }
-        }
-        if let Some(rec) = record.as_deref_mut() {
-            rec.push((u64::MAX, queue.next_deadline().unwrap_or(u64::MAX)));
-        }
-    }
-    ops
-}
-
-/// `fleet bench-wakes`: verify the binary-heap and timer-wheel alarm
-/// queues are observationally identical — first on a synthetic
-/// schedule/pop workload (pop sequences + deadlines), then end-to-end
-/// (Alg1 and Luby-B traces/metrics/outputs under each queue) — and only
-/// then time the synthetic workload on both and report throughput.
-fn run_bench_wakes() -> ExitCode {
-    use sleepy_net::{run_protocol_with_alarms, AlarmKind, AlarmQueue, TraceBuffer};
-    use std::time::Instant;
-
-    /// One timed pass over the synthetic workload.
-    fn timed_drain(kind: AlarmKind, n: usize, cycles: usize, seed: u64) -> f64 {
-        // sleepy-lint: allow(no-wall-clock): bench-wakes' whole job is timing;
-        // its throughput report is diagnostic output, not a golden artifact.
-        let t = Instant::now();
-        let mut queue = AlarmQueue::new(kind);
-        drive_alarms(&mut queue, n, cycles, seed, None);
-        t.elapsed().as_secs_f64()
-    }
-
-    let args = match parse_bench_wakes_args() {
-        Ok(Some(args)) => args,
-        Ok(None) => return ExitCode::SUCCESS,
-        Err(msg) => return fail(msg),
-    };
-
-    // Gate 1: synthetic workload, bit-identical pop/deadline sequences.
-    let mut rows: Vec<WakeBenchRow> = Vec::new();
-    for &n in &args.sizes {
-        let mut heap_log = Vec::new();
-        let mut wheel_log = Vec::new();
-        let mut heap = AlarmQueue::new(AlarmKind::Heap);
-        let mut wheel = AlarmQueue::new(AlarmKind::Wheel);
-        let ops = drive_alarms(&mut heap, n, args.cycles, args.seed, Some(&mut heap_log));
-        let wheel_ops = drive_alarms(&mut wheel, n, args.cycles, args.seed, Some(&mut wheel_log));
-        if ops != wheel_ops || heap_log != wheel_log {
-            return fail(format!(
-                "alarm queue divergence at n={n}: heap {} ops, wheel {} ops, logs {}",
-                ops,
-                wheel_ops,
-                if heap_log == wheel_log { "equal" } else { "DIFFER" },
-            ));
-        }
-        if !heap.is_empty() || !wheel.is_empty() {
-            return fail(format!("alarm queue not drained at n={n}"));
-        }
-
-        let time_queue = |kind: AlarmKind, min_secs: f64, max_passes: usize| -> (f64, usize) {
-            let mut total = 0.0;
-            let mut passes = 0usize;
-            while passes == 0 || (total < min_secs && passes < max_passes) {
-                total += timed_drain(kind, n, args.cycles, args.seed);
-                passes += 1;
-            }
-            (total, passes)
-        };
-        let (heap_secs, heap_passes) = time_queue(AlarmKind::Heap, 0.25, 400);
-        let (wheel_secs, wheel_passes) = time_queue(AlarmKind::Wheel, 0.25, 400);
-        let rate = |secs: f64, passes: usize| ops as f64 * passes as f64 / secs;
-        let row = WakeBenchRow {
-            n,
-            ops,
-            heap_secs: heap_secs / heap_passes as f64,
-            heap_ops: rate(heap_secs, heap_passes),
-            wheel_secs: wheel_secs / wheel_passes as f64,
-            wheel_ops: rate(wheel_secs, wheel_passes),
-        };
-        eprintln!(
-            "bench-wakes: n={:>6} {:>8} ops  heap {:>12.0} op/s  wheel {:>12.0} op/s  \
-             speedup {:>6.2}x",
-            row.n,
-            row.ops,
-            row.heap_ops,
-            row.wheel_ops,
-            row.wheel_ops / row.heap_ops,
-        );
-        rows.push(row);
-    }
-
-    // Gate 2: end-to-end — a sleeping-model run (Alg1, alarm-heavy) and a
-    // baseline run under each queue must produce byte-identical traces,
-    // metrics and outputs.
-    let e2e_n = if args.smoke { 48 } else { 256 };
-    let graph = match GraphFamily::GnpAvgDeg(8.0).generate(e2e_n, args.seed) {
-        Ok(g) => g,
-        Err(e) => return fail(format!("generating end-to-end graph: {e}")),
-    };
-    let config = sleepy_net::EngineConfig::default();
-    let prepared =
-        match sleepy_mis::PreparedMis::new(graph.n(), sleepy_mis::MisConfig::alg1(args.seed)) {
-            Ok(p) => p,
-            Err(e) => return fail(format!("alg1 config: {e}")),
-        };
-    let mut runs = Vec::new();
-    for kind in [AlarmKind::Heap, AlarmKind::Wheel] {
-        let mut buf = TraceBuffer::new(true);
-        let outcome = match run_protocol_with_alarms(
-            &graph,
-            &config,
-            |id, _| sleepy_mis::SleepingMisProtocol::new(id, prepared.clone()),
-            &mut buf,
-            kind,
-        ) {
-            Ok(out) => out,
-            Err(e) => return fail(format!("alg1 end-to-end ({kind:?}): {e}")),
-        };
-        let in_mis: Vec<Option<bool>> =
-            outcome.outputs.iter().map(|o| o.as_ref().map(|x| x.in_mis)).collect();
-        runs.push((in_mis, outcome.metrics, buf.into_trace()));
-    }
-    if runs[0] != runs[1] {
-        return fail("end-to-end divergence: Alg1 under heap vs timer-wheel alarms");
-    }
-    let mut base_runs = Vec::new();
-    for kind in [AlarmKind::Heap, AlarmKind::Wheel] {
-        let mut buf = TraceBuffer::new(true);
-        let outcome = match run_protocol_with_alarms(
-            &graph,
-            &config,
-            |id, _| sleepy_baselines::LubyB::new(id, args.seed),
-            &mut buf,
-            kind,
-        ) {
-            Ok(out) => out,
-            Err(e) => return fail(format!("luby-b end-to-end ({kind:?}): {e}")),
-        };
-        base_runs.push((outcome.outputs, outcome.metrics, buf.into_trace()));
-    }
-    if base_runs[0] != base_runs[1] {
-        return fail("end-to-end divergence: Luby-B under heap vs timer-wheel alarms");
-    }
-
-    if args.smoke {
-        println!(
-            "bench-wakes --smoke OK: {} alarm workloads bit-identical, \
-             end-to-end runs byte-identical under both queues",
-            rows.len()
-        );
-    }
-    if let Some(path) = &args.out {
-        let json = serde_json::json!({
-            "bench": "wake-alarm-queue-throughput",
-            "cycles": args.cycles,
-            "seed": args.seed,
-            "end_to_end_n": e2e_n,
-            "rows": serde::Value::Array(rows.iter().map(|r| serde_json::json!({
-                "n": r.n,
-                "ops": r.ops,
-                "heap_batch_secs": r.heap_secs,
-                "heap_ops_per_sec": r.heap_ops,
-                "wheel_batch_secs": r.wheel_secs,
-                "wheel_ops_per_sec": r.wheel_ops,
-                "speedup": r.wheel_ops / r.heap_ops,
-            })).collect()),
-        });
-        let text = serde_json::to_string_pretty(&json).expect("bench rows serialize");
-        if let Err(e) = std::fs::write(path, format!("{text}\n")) {
-            return fail(format!("cannot write {}: {e}", path.display()));
-        }
-        eprintln!("bench-wakes: wrote {}", path.display());
-    }
-    ExitCode::SUCCESS
-}
-
 /// `fleet record-tape`: run one algorithm on one workload instance and
 /// write the engine exchange as a versioned JSONL conformance tape.
 fn run_record_tape() -> ExitCode {
@@ -1457,6 +1158,8 @@ fn run_record_tape() -> ExitCode {
     let mut seed = 1u64;
     let mut config = sleepy_net::EngineConfig::default();
     let mut out: Option<PathBuf> = None;
+    let mut loss = 0.0f64;
+    let mut iid_seed = 0u64;
     let mut fault_burst: Option<(f64, f64, f64, f64)> = None;
     let mut fault_seed = 0u64;
     let mut fault_crash: Vec<sleepy_net::CrashWindow> = Vec::new();
@@ -1485,16 +1188,14 @@ fn run_record_tape() -> ExitCode {
                     seed = parse_u64_maybe_hex(&v).ok_or(format!("bad --seed `{v}`"))?;
                 }
                 "--loss" => {
-                    config.loss_probability =
-                        value("--loss")?.parse().map_err(|_| "bad --loss value".to_string())?;
-                    if !(0.0..=1.0).contains(&config.loss_probability) {
+                    loss = value("--loss")?.parse().map_err(|_| "bad --loss value".to_string())?;
+                    if !(0.0..=1.0).contains(&loss) {
                         return Err("--loss must be in [0,1]".to_string());
                     }
                 }
                 "--loss-seed" => {
                     let v = value("--loss-seed")?;
-                    config.loss_seed =
-                        parse_u64_maybe_hex(&v).ok_or(format!("bad --loss-seed `{v}`"))?;
+                    iid_seed = parse_u64_maybe_hex(&v).ok_or(format!("bad --loss-seed `{v}`"))?;
                 }
                 "--max-rounds" => {
                     config.max_rounds = value("--max-rounds")?
@@ -1503,10 +1204,12 @@ fn run_record_tape() -> ExitCode {
                 }
                 "--fault-burst" => {
                     let v = value("--fault-burst")?;
-                    let parts: Vec<f64> = v.split(',').filter_map(|p| p.parse().ok()).collect();
-                    let [e, x, g, b] = parts[..] else {
-                        return Err(format!("bad --fault-burst `{v}` (expected E,X,G,B)"));
-                    };
+                    let bad = || format!("bad --fault-burst `{v}` (expected E,X,G,B)");
+                    let parts = v
+                        .split(',')
+                        .map(|p| p.parse::<f64>().map_err(|_| bad()))
+                        .collect::<Result<Vec<_>, _>>()?;
+                    let [e, x, g, b] = parts[..] else { return Err(bad()) };
                     fault_burst = Some((e, x, g, b));
                 }
                 "--fault-seed" => {
@@ -1517,14 +1220,15 @@ fn run_record_tape() -> ExitCode {
                 "--fault-crash" => {
                     let v = value("--fault-crash")?;
                     for spec in v.split(',') {
-                        let parts: Vec<u64> =
-                            spec.split(':').filter_map(|p| p.parse().ok()).collect();
-                        let [node, start, end] = parts[..] else {
-                            return Err(format!(
-                                "bad --fault-crash `{spec}` (expected NODE:START:END)"
-                            ));
-                        };
-                        fault_crash.push(sleepy_net::CrashWindow { node: node as u32, start, end });
+                        let bad =
+                            || format!("bad --fault-crash `{spec}` (expected NODE:START:END)");
+                        let parts = spec
+                            .split(':')
+                            .map(|p| p.parse::<u64>().map_err(|_| bad()))
+                            .collect::<Result<Vec<_>, _>>()?;
+                        let [node, start, end] = parts[..] else { return Err(bad()) };
+                        let node = u32::try_from(node).map_err(|_| bad())?;
+                        fault_crash.push(sleepy_net::CrashWindow { node, start, end });
                     }
                 }
                 "--fault-partition" => {
@@ -1556,19 +1260,26 @@ fn run_record_tape() -> ExitCode {
     let Some(algo) = algo else {
         return fail("record-tape needs --algo (try --help)");
     };
-    let fault_kinds = usize::from(fault_burst.is_some())
-        + usize::from(!fault_crash.is_empty())
-        + usize::from(!fault_partition.is_empty());
-    if fault_kinds > 1 {
-        return fail("--fault-burst, --fault-crash and --fault-partition are mutually exclusive");
-    }
-    if let Some((p_enter, p_exit, loss_good, loss_bad)) = fault_burst {
-        config.fault =
-            sleepy_net::FaultPlan::Burst { p_enter, p_exit, loss_good, loss_bad, seed: fault_seed };
-    } else if !fault_crash.is_empty() {
-        config.fault = sleepy_net::FaultPlan::Crash { windows: fault_crash };
-    } else if !fault_partition.is_empty() {
-        config.fault = sleepy_net::FaultPlan::Partition { windows: fault_partition };
+    use sleepy_net::FaultPlan;
+    let mut plans = [
+        (loss > 0.0).then_some(FaultPlan::Iid { probability: loss, seed: iid_seed }),
+        fault_burst.map(|(p_enter, p_exit, loss_good, loss_bad)| FaultPlan::Burst {
+            p_enter,
+            p_exit,
+            loss_good,
+            loss_bad,
+            seed: fault_seed,
+        }),
+        (!fault_crash.is_empty()).then_some(FaultPlan::Crash { windows: fault_crash }),
+        (!fault_partition.is_empty()).then_some(FaultPlan::Partition { windows: fault_partition }),
+    ]
+    .into_iter()
+    .flatten();
+    config.fault = plans.next().unwrap_or_default();
+    if plans.next().is_some() {
+        return fail(
+            "--loss, --fault-burst, --fault-crash and --fault-partition are mutually exclusive",
+        );
     }
     if let Err(e) = config.fault.validate() {
         return fail(format!("invalid fault plan: {e}"));

@@ -26,7 +26,7 @@ use sleepy_baselines::{run_baseline, BaselineKind};
 use sleepy_fleet::deterministic_map;
 use sleepy_graph::GraphFamily;
 use sleepy_mis::{run_sleeping_mis, MisConfig};
-use sleepy_net::EngineConfig;
+use sleepy_net::{EngineConfig, FaultPlan};
 use sleepy_stats::TextTable;
 use sleepy_verify::{verify_mis, MisViolation};
 
@@ -119,12 +119,12 @@ pub fn run_robustness(config: &RobustnessConfig) -> Result<RobustnessReport, Har
                 } else {
                     200_000 + 100 * config.n as u64
                 };
-                let ec = EngineConfig {
-                    loss_probability: loss,
-                    loss_seed: seed ^ 0xF00D,
-                    max_rounds,
-                    ..EngineConfig::default()
+                let fault = if loss > 0.0 {
+                    FaultPlan::Iid { probability: loss, seed: seed ^ 0xF00D }
+                } else {
+                    FaultPlan::None
                 };
+                let ec = EngineConfig { max_rounds, fault, ..EngineConfig::default() };
                 let in_mis = match algo {
                     "SleepingMIS" => {
                         run_sleeping_mis(&g, MisConfig::alg1(seed), &ec).map(|r| r.in_mis)

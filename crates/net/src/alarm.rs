@@ -1,101 +1,35 @@
-//! First-class wake-alarm deadline queues.
+//! The engine's wake-alarm deadline queue.
 //!
 //! The sleeping-model engine's idle-round skipping hinges on one data
 //! structure: the set of `(wake_round, node)` alarms set by sleeping
-//! nodes. This module makes that structure explicit and swappable so it
-//! can be microbenchmarked in isolation (`fleet bench-wakes`):
+//! nodes. [`TimerWheel`] keeps them as a ring of [`WHEEL_SLOTS`]
+//! per-round buckets for near-future wakes plus a `BTreeMap` overflow
+//! for far-future ones (Algorithm 1's padded Θ(n³) schedules sleep
+//! *very* far ahead). Scheduling into the wheel window and popping a
+//! due bucket are O(1) amortized plus a sort of the popped bucket.
 //!
-//! * [`HeapAlarms`] — the classic binary min-heap, O(log k) per
-//!   operation. This is the structure the pre-state-machine engine used
-//!   inline.
-//! * [`TimerWheel`] — a bucketed timer wheel: a ring of
-//!   [`WHEEL_SLOTS`] per-round buckets for near-future wakes plus a
-//!   `BTreeMap` overflow for far-future ones (Algorithm 1's padded
-//!   Θ(n³) schedules sleep *very* far ahead). Scheduling into the wheel
-//!   window and popping a due bucket are O(1) amortized plus a sort of
-//!   the popped bucket.
-//!
-//! Both implementations expose identical observable behavior —
-//! [`AlarmQueue::pop_due`] yields due nodes in ascending id order — so
-//! the engine's traces are byte-identical regardless of which queue
-//! backs it. `fleet bench-wakes` gates its timing report on exactly
-//! that equivalence.
+//! [`TimerWheel::pop_due`] yields due nodes in ascending id order —
+//! exactly the order a `(round, node)` binary min-heap pops them, which
+//! is what the legacy engine loop kept inline. The unit tests hold the
+//! wheel to such a heap under random traffic.
 //!
 //! # Usage contract
 //!
 //! Callers must pop rounds in non-decreasing order and never skip past
 //! a round that still holds alarms (the engine guarantees this: it
 //! processes rounds consecutively while any node is awake and otherwise
-//! jumps exactly to [`AlarmQueue::next_deadline`]). Scheduling a wake
+//! jumps exactly to [`TimerWheel::next_deadline`]). Scheduling a wake
 //! at or before the current pop frontier is a caller bug, which the
 //! engine rules out via [`EngineError::SleepIntoPast`](crate::EngineError).
 
 use crate::Round;
 use sleepy_graph::NodeId;
-use std::cmp::Reverse;
-use std::collections::{BTreeMap, BinaryHeap};
+use std::collections::BTreeMap;
 
 /// Number of per-round buckets in the [`TimerWheel`] ring. Wakes within
 /// this many rounds of the pop frontier go straight into a bucket;
 /// farther ones wait in the sorted overflow until the frontier advances.
 pub const WHEEL_SLOTS: usize = 256;
-
-/// Which deadline-queue implementation backs an engine.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum AlarmKind {
-    /// Binary min-heap ([`HeapAlarms`]).
-    Heap,
-    /// Bucketed timer wheel ([`TimerWheel`]) — the default.
-    #[default]
-    Wheel,
-}
-
-/// The binary-heap deadline queue: `(wake_round, node)` pairs in a
-/// min-heap, exactly as the legacy engine loop kept them inline.
-#[derive(Debug, Clone, Default)]
-pub struct HeapAlarms {
-    heap: BinaryHeap<Reverse<(Round, NodeId)>>,
-}
-
-impl HeapAlarms {
-    /// An empty queue.
-    pub fn new() -> Self {
-        HeapAlarms::default()
-    }
-
-    /// Schedules `node` to wake at `wake`.
-    pub fn schedule(&mut self, wake: Round, node: NodeId) {
-        self.heap.push(Reverse((wake, node)));
-    }
-
-    /// The earliest scheduled wake round, if any alarm is set.
-    pub fn next_deadline(&self) -> Option<Round> {
-        self.heap.peek().map(|&Reverse((r, _))| r)
-    }
-
-    /// Appends every node scheduled to wake at exactly `round` to `out`,
-    /// in ascending id order, removing them from the queue.
-    pub fn pop_due(&mut self, round: Round, out: &mut Vec<NodeId>) {
-        while let Some(&Reverse((r, v))) = self.heap.peek() {
-            debug_assert!(r >= round, "missed a wake-up");
-            if r != round {
-                break;
-            }
-            self.heap.pop();
-            out.push(v);
-        }
-    }
-
-    /// Number of pending alarms.
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// Whether no alarm is pending.
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
-    }
-}
 
 /// The bucketed timer-wheel deadline queue.
 ///
@@ -219,65 +153,11 @@ impl TimerWheel {
     }
 }
 
-/// A deadline queue of either kind, chosen at engine construction.
-#[derive(Debug, Clone)]
-pub enum AlarmQueue {
-    /// Binary-heap backed.
-    Heap(HeapAlarms),
-    /// Timer-wheel backed.
-    Wheel(TimerWheel),
-}
-
-impl AlarmQueue {
-    /// An empty queue of the given kind.
-    pub fn new(kind: AlarmKind) -> Self {
-        match kind {
-            AlarmKind::Heap => AlarmQueue::Heap(HeapAlarms::new()),
-            AlarmKind::Wheel => AlarmQueue::Wheel(TimerWheel::new()),
-        }
-    }
-
-    /// Schedules `node` to wake at `wake`.
-    pub fn schedule(&mut self, wake: Round, node: NodeId) {
-        match self {
-            AlarmQueue::Heap(q) => q.schedule(wake, node),
-            AlarmQueue::Wheel(q) => q.schedule(wake, node),
-        }
-    }
-
-    /// The earliest scheduled wake round, if any alarm is set.
-    pub fn next_deadline(&self) -> Option<Round> {
-        match self {
-            AlarmQueue::Heap(q) => q.next_deadline(),
-            AlarmQueue::Wheel(q) => q.next_deadline(),
-        }
-    }
-
-    /// Appends every node due at exactly `round` to `out`, ascending ids.
-    pub fn pop_due(&mut self, round: Round, out: &mut Vec<NodeId>) {
-        match self {
-            AlarmQueue::Heap(q) => q.pop_due(round, out),
-            AlarmQueue::Wheel(q) => q.pop_due(round, out),
-        }
-    }
-
-    /// Number of pending alarms.
-    pub fn len(&self) -> usize {
-        match self {
-            AlarmQueue::Heap(q) => q.len(),
-            AlarmQueue::Wheel(q) => q.len(),
-        }
-    }
-
-    /// Whether no alarm is pending.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::cmp::Reverse;
+    use std::collections::BinaryHeap;
 
     /// Deterministic SplitMix64 stream for test traffic (no ambient
     /// entropy in engine-adjacent tests).
@@ -289,27 +169,50 @@ mod tests {
         z ^ (z >> 31)
     }
 
+    /// The oracle: `(wake_round, node)` pairs in a binary min-heap, the
+    /// structure the legacy engine loop keeps inline.
+    #[derive(Default)]
+    struct HeapModel(BinaryHeap<Reverse<(Round, NodeId)>>);
+
+    impl HeapModel {
+        fn schedule(&mut self, wake: Round, node: NodeId) {
+            self.0.push(Reverse((wake, node)));
+        }
+
+        fn next_deadline(&self) -> Option<Round> {
+            self.0.peek().map(|&Reverse((r, _))| r)
+        }
+
+        fn pop_due(&mut self, round: Round, out: &mut Vec<NodeId>) {
+            while let Some(&Reverse((r, v))) = self.0.peek() {
+                if r != round {
+                    break;
+                }
+                self.0.pop();
+                out.push(v);
+            }
+        }
+    }
+
     #[test]
     fn simple_schedule_and_pop() {
-        for kind in [AlarmKind::Heap, AlarmKind::Wheel] {
-            let mut q = AlarmQueue::new(kind);
-            assert!(q.is_empty());
-            assert_eq!(q.next_deadline(), None);
-            q.schedule(5, 2);
-            q.schedule(3, 7);
-            q.schedule(5, 1);
-            assert_eq!(q.len(), 3);
-            assert_eq!(q.next_deadline(), Some(3));
-            let mut out = Vec::new();
-            q.pop_due(3, &mut out);
-            assert_eq!(out, vec![7]);
-            out.clear();
-            q.pop_due(4, &mut out);
-            assert!(out.is_empty());
-            q.pop_due(5, &mut out);
-            assert_eq!(out, vec![1, 2], "equal-round pops are ascending by id");
-            assert!(q.is_empty());
-        }
+        let mut q = TimerWheel::new();
+        assert!(q.is_empty());
+        assert_eq!(q.next_deadline(), None);
+        q.schedule(5, 2);
+        q.schedule(3, 7);
+        q.schedule(5, 1);
+        assert_eq!(q.len(), 3);
+        assert_eq!(q.next_deadline(), Some(3));
+        let mut out = Vec::new();
+        q.pop_due(3, &mut out);
+        assert_eq!(out, vec![7]);
+        out.clear();
+        q.pop_due(4, &mut out);
+        assert!(out.is_empty());
+        q.pop_due(5, &mut out);
+        assert_eq!(out, vec![1, 2], "equal-round pops are ascending by id");
+        assert!(q.is_empty());
     }
 
     #[test]
@@ -366,14 +269,14 @@ mod tests {
         assert_eq!(out, vec![1]);
     }
 
-    /// The heap is the oracle: under engine-like random traffic both
-    /// queues report identical deadlines and pop identical sequences.
+    /// Under engine-like random traffic the wheel reports the same
+    /// deadlines and pops the same sequences as the heap oracle.
     #[test]
     fn wheel_matches_heap_under_random_traffic() {
         for seed in 0..8u64 {
             let mut rng = 0x5EED_0000 + seed;
-            let mut heap = AlarmQueue::new(AlarmKind::Heap);
-            let mut wheel = AlarmQueue::new(AlarmKind::Wheel);
+            let mut heap = HeapModel::default();
+            let mut wheel = TimerWheel::new();
             let mut round: Round = 0;
             let mut pending = 0usize;
             let mut next_node: NodeId = 0;
@@ -391,7 +294,7 @@ mod tests {
                     pending += 1;
                 }
                 assert_eq!(heap.next_deadline(), wheel.next_deadline());
-                assert_eq!(heap.len(), wheel.len());
+                assert_eq!(heap.0.len(), wheel.len());
                 if pending == 0 {
                     round += 1;
                     continue;

@@ -15,11 +15,11 @@ use crate::fault::FaultPlan;
 use crate::message::{Incoming, MessageSize, Outbox};
 use crate::metrics::{NodeMetrics, RunMetrics};
 use crate::protocol::{Action, NodeCtx, Protocol};
-use crate::sink::{NullSink, TraceBuffer, TraceSink};
+use crate::sink::{NullSink, TraceSink};
 use crate::statemachine::{EngineInput, EngineOutput, OutMsg, SleepyEngine};
 use crate::tape::{Tape, TapeRecorder};
-use crate::trace::{Trace, TraceEvent};
-use crate::{alarm::AlarmKind, Round};
+use crate::trace::TraceEvent;
+use crate::Round;
 use sleepy_graph::{Graph, NodeId};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -31,66 +31,27 @@ pub struct EngineConfig {
     /// passes this value. The default is effectively unlimited; set a cap in
     /// tests and failure-injection experiments.
     pub max_rounds: Round,
-    /// Record wake/sleep/terminate events into a [`Trace`].
-    pub trace: bool,
-    /// Additionally record one event per routed message (voluminous).
-    pub trace_messages: bool,
     /// If `Some(budget)`, abort with
     /// [`EngineError::MessageTooLarge`] when a message exceeds `budget`
     /// bits — an executable check of the CONGEST(log n) restriction; see
     /// [`congest_bits_budget`](crate::congest_bits_budget).
     pub congest_bits: Option<usize>,
-    /// Failure injection: each message is independently lost in transit
-    /// with this probability (on top of the model's dropping at sleeping
-    /// receivers). 0.0 = the paper's reliable model. Losses are
-    /// deterministic given [`EngineConfig::loss_seed`] and are counted in
+    /// Failure injection: which messages are lost in transit on top of
+    /// the model's dropping at sleeping receivers — i.i.d. loss, burst
+    /// loss, link partitions or node crashes (see [`FaultPlan`]).
+    /// [`FaultPlan::None`] is the paper's reliable model. Losses are
+    /// deterministic given the plan and are counted in
     /// [`NodeMetrics::messages_lost`].
-    ///
-    /// This is the legacy spelling of [`FaultPlan::Iid`]; it applies only
-    /// when [`EngineConfig::fault`] is [`FaultPlan::None`] (see
-    /// [`EngineConfig::effective_fault`]).
-    pub loss_probability: f64,
-    /// Seed for the loss process.
-    pub loss_seed: u64,
-    /// The generalized fault process (burst loss, link partitions, node
-    /// crashes — see [`FaultPlan`]). When set to anything other than
-    /// [`FaultPlan::None`] it replaces the legacy loss fields.
     pub fault: FaultPlan,
-}
-
-impl EngineConfig {
-    /// The fault plan this configuration effectively runs under: an
-    /// explicit [`EngineConfig::fault`] wins; otherwise a nonzero
-    /// [`EngineConfig::loss_probability`] defines the equivalent
-    /// [`FaultPlan::Iid`] (byte-identical decisions); otherwise no
-    /// faults.
-    pub fn effective_fault(&self) -> FaultPlan {
-        if !self.fault.is_none() {
-            self.fault.clone()
-        } else if self.loss_probability > 0.0 {
-            FaultPlan::Iid { probability: self.loss_probability, seed: self.loss_seed }
-        } else {
-            FaultPlan::None
-        }
-    }
 }
 
 impl Default for EngineConfig {
     fn default() -> Self {
-        EngineConfig {
-            max_rounds: Round::MAX / 4,
-            trace: false,
-            trace_messages: false,
-            congest_bits: None,
-            loss_probability: 0.0,
-            loss_seed: 0,
-            fault: FaultPlan::None,
-        }
+        EngineConfig { max_rounds: Round::MAX / 4, congest_bits: None, fault: FaultPlan::None }
     }
 }
 
-/// The result of a completed run: per-node outputs, metrics, and the
-/// optional trace.
+/// The result of a completed run: per-node outputs and metrics.
 #[derive(Debug, Clone)]
 pub struct RunOutcome<O> {
     /// Final outputs, indexed by node id (`Some` for every node, since the
@@ -98,8 +59,6 @@ pub struct RunOutcome<O> {
     pub outputs: Vec<Option<O>>,
     /// Collected metrics.
     pub metrics: RunMetrics,
-    /// The trace, if [`EngineConfig::trace`] was set.
-    pub trace: Option<Trace>,
 }
 
 /// Node lifecycle inside the legacy engine loop.
@@ -136,28 +95,18 @@ where
     P: Protocol,
     F: FnMut(NodeId, &NodeCtx) -> P,
 {
-    if config.trace {
-        let mut buffer = TraceBuffer::new(config.trace_messages);
-        let mut outcome = run_protocol_with_sink(graph, config, factory, &mut buffer)?;
-        outcome.trace = Some(buffer.into_trace());
-        Ok(outcome)
-    } else {
-        run_protocol_with_sink(graph, config, factory, &mut NullSink)
-    }
+    run_protocol_with_sink(graph, config, factory, &mut NullSink)
 }
 
 /// Runs `protocol` instances on `graph` like [`run_protocol`], streaming
-/// every engine event into `sink` instead of (or in addition to)
-/// buffering a [`Trace`].
+/// every engine event into `sink`; pass a
+/// [`TraceBuffer`](crate::TraceBuffer) to keep a [`Trace`](crate::Trace).
 ///
 /// The sink observes the run in deterministic order — see
 /// [`TraceSink`](crate::TraceSink) for the exact per-round sequence.
 /// Message-level events are generated only when
 /// [`TraceSink::wants_messages`](crate::TraceSink::wants_messages) is
-/// true; [`EngineConfig::trace`] and
-/// [`EngineConfig::trace_messages`] are ignored here (they configure
-/// [`run_protocol`]'s implicit buffer sink), so `outcome.trace` is always
-/// `None`.
+/// true.
 ///
 /// # Errors
 ///
@@ -172,30 +121,7 @@ where
     P: Protocol,
     F: FnMut(NodeId, &NodeCtx) -> P,
 {
-    drive(graph, config, factory, sink, AlarmKind::default(), None)
-}
-
-/// [`run_protocol_with_sink`] with an explicit wake-alarm queue choice.
-///
-/// Both [`AlarmKind`]s produce byte-identical runs; the choice only
-/// matters for performance, and `fleet bench-wakes` uses this entry point
-/// to hold them equivalent before timing them.
-///
-/// # Errors
-///
-/// See [`run_protocol`].
-pub fn run_protocol_with_alarms<P, F>(
-    graph: &Graph,
-    config: &EngineConfig,
-    factory: F,
-    sink: &mut dyn TraceSink,
-    alarms: AlarmKind,
-) -> Result<RunOutcome<P::Output>, EngineError>
-where
-    P: Protocol,
-    F: FnMut(NodeId, &NodeCtx) -> P,
-{
-    drive(graph, config, factory, sink, alarms, None)
+    drive(graph, config, factory, sink, None)
 }
 
 /// Runs a protocol like [`run_protocol_with_sink`] while recording the
@@ -219,7 +145,7 @@ where
     F: FnMut(NodeId, &NodeCtx) -> P,
 {
     let mut recorder = TapeRecorder::new(graph, config, sink.wants_messages());
-    let result = drive(graph, config, factory, sink, AlarmKind::default(), Some(&mut recorder));
+    let result = drive(graph, config, factory, sink, Some(&mut recorder));
     let error = result.as_ref().err().map(|e| e.to_string());
     (result, recorder.finish(error))
 }
@@ -234,7 +160,6 @@ fn drive<P, F>(
     config: &EngineConfig,
     mut factory: F,
     sink: &mut dyn TraceSink,
-    alarms: AlarmKind,
     mut tap: Option<&mut TapeRecorder>,
 ) -> Result<RunOutcome<P::Output>, EngineError>
 where
@@ -247,7 +172,7 @@ where
         let ctx = NodeCtx { id, n, degree: graph.degree(id), round: 0 };
         nodes.push(factory(id, &ctx));
     }
-    let mut sm = SleepyEngine::with_alarms(graph, config, sink.wants_messages(), alarms);
+    let mut sm = SleepyEngine::new(graph, config, sink.wants_messages());
 
     // Reusable message plumbing. `payloads` holds the most recent sender's
     // messages in emission order; `Deliver` outputs index into it (they are
@@ -314,7 +239,7 @@ where
     debug_assert!(sm.is_finished(), "output stream ended without Finished");
     let outputs: Vec<Option<P::Output>> = nodes.iter().map(|p| p.output()).collect();
     debug_assert!(outputs.iter().all(Option::is_some));
-    Ok(RunOutcome { outputs, metrics: sm.finish(), trace: None })
+    Ok(RunOutcome { outputs, metrics: sm.finish() })
 }
 
 /// The pre-refactor monolithic round loop, kept verbatim as the
@@ -343,7 +268,7 @@ where
         let ctx = NodeCtx { id, n, degree: graph.degree(id), round: 0 };
         nodes.push(factory(id, &ctx));
     }
-    let mut fault = config.effective_fault().build();
+    let mut fault = config.fault.build();
 
     let mut status = vec![Status::Awake; n];
     let mut metrics: Vec<NodeMetrics> = vec![NodeMetrics::default(); n];
@@ -499,7 +424,6 @@ where
     Ok(RunOutcome {
         outputs,
         metrics: RunMetrics { per_node: metrics, total_rounds, active_rounds },
-        trace: None,
     })
 }
 
@@ -525,6 +449,7 @@ pub(crate) fn merge_sorted(a: &[NodeId], b: &[NodeId]) -> Vec<NodeId> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sink::TraceBuffer;
     use sleepy_graph::generators;
     use sleepy_graph::Port;
 
@@ -823,9 +748,15 @@ mod tests {
     #[test]
     fn trace_records_lifecycle() {
         let g = generators::empty(1).unwrap();
-        let cfg = EngineConfig { trace: true, ..EngineConfig::default() };
-        let run = run_protocol(&g, &cfg, |_, _| LongSleeper { done_after_wake: false }).unwrap();
-        let t = run.trace.unwrap();
+        let mut buffer = TraceBuffer::new(false);
+        run_protocol_with_sink(
+            &g,
+            &EngineConfig::default(),
+            |_, _| LongSleeper { done_after_wake: false },
+            &mut buffer,
+        )
+        .unwrap();
+        let t = buffer.into_trace();
         assert!(t
             .events
             .iter()
@@ -869,7 +800,10 @@ mod tests {
             }
         }
         let g = generators::star(11).unwrap();
-        let cfg = EngineConfig { loss_probability: 0.3, loss_seed: 42, ..EngineConfig::default() };
+        let cfg = EngineConfig {
+            fault: FaultPlan::Iid { probability: 0.3, seed: 42 },
+            ..EngineConfig::default()
+        };
         let run = run_protocol(&g, &cfg, |id, _| Chatter { id, heard: 0 }).unwrap();
         let heard: u64 = run.outputs.iter().skip(1).map(|o| o.unwrap()).sum();
         let lost: u64 = run.metrics.per_node.iter().map(|m| m.messages_lost).sum();
@@ -881,41 +815,10 @@ mod tests {
         // Deterministic per loss seed.
         let run2 = run_protocol(&g, &cfg, |id, _| Chatter { id, heard: 0 }).unwrap();
         assert_eq!(run.outputs, run2.outputs);
-        // Zero probability means no loss machinery at all.
+        // The fault-free default loses nothing.
         let cfg0 = EngineConfig::default();
         let run0 = run_protocol(&g, &cfg0, |id, _| Chatter { id, heard: 0 }).unwrap();
         assert_eq!(run0.metrics.per_node.iter().map(|m| m.messages_lost).sum::<u64>(), 0);
-    }
-
-    /// `FaultPlan::Iid` must reproduce the legacy loss fields decision
-    /// for decision — same RNG, same draw order — across both drivers.
-    #[test]
-    fn iid_fault_plan_is_byte_identical_to_legacy_loss_fields() {
-        let g = Graph::from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (0, 2)]).unwrap();
-        let legacy =
-            EngineConfig { loss_probability: 0.2, loss_seed: 7, ..EngineConfig::default() };
-        let planned = EngineConfig {
-            fault: FaultPlan::Iid { probability: 0.2, seed: 7 },
-            ..EngineConfig::default()
-        };
-        let mut a = TraceBuffer::new(true);
-        let ra = run_protocol_with_sink(&g, &legacy, |id, _| DropProbe { id, heard: 0 }, &mut a)
-            .unwrap();
-        let mut b = TraceBuffer::new(true);
-        let rb = run_protocol_with_sink(&g, &planned, |id, _| DropProbe { id, heard: 0 }, &mut b)
-            .unwrap();
-        assert_eq!(ra.outputs, rb.outputs);
-        assert_eq!(ra.metrics, rb.metrics);
-        assert_eq!(a.into_trace(), b.into_trace());
-        // An explicit plan overrides the legacy fields.
-        let both = EngineConfig {
-            loss_probability: 0.9,
-            loss_seed: 999,
-            fault: FaultPlan::Iid { probability: 0.2, seed: 7 },
-            ..EngineConfig::default()
-        };
-        let rc = run_protocol(&g, &both, |id, _| DropProbe { id, heard: 0 }).unwrap();
-        assert_eq!(rc.outputs, ra.outputs);
     }
 
     /// The state-machine driver and the legacy loop agree under every
@@ -1028,30 +931,32 @@ mod tests {
 
     #[test]
     fn sink_path_reproduces_the_buffered_trace_and_validates() {
-        use crate::sink::{RoundSeries, Tee, TraceBuffer};
+        use crate::sink::{RoundSeries, Tee};
         use crate::validate::{
             validate_series_against_metrics, validate_series_against_trace,
             validate_trace_against_metrics,
         };
         let g = Graph::from_edges(2, [(0, 1)]).unwrap();
         let cfg = EngineConfig {
-            trace: true,
-            trace_messages: true,
-            loss_probability: 0.25,
-            loss_seed: 9,
+            fault: FaultPlan::Iid { probability: 0.25, seed: 9 },
             ..EngineConfig::default()
         };
-        let buffered = run_protocol(&g, &cfg, |id, _| DropProbe { id, heard: 0 }).unwrap();
+        let silent = run_protocol(&g, &cfg, |id, _| DropProbe { id, heard: 0 }).unwrap();
         let mut buffer = TraceBuffer::new(true);
+        let buffered =
+            run_protocol_with_sink(&g, &cfg, |id, _| DropProbe { id, heard: 0 }, &mut buffer)
+                .unwrap();
+        let mut tee_buffer = TraceBuffer::new(true);
         let mut series = RoundSeries::new();
-        let mut tee = Tee::new(&mut buffer, &mut series);
+        let mut tee = Tee::new(&mut tee_buffer, &mut series);
         let streamed =
             run_protocol_with_sink(&g, &cfg, |id, _| DropProbe { id, heard: 0 }, &mut tee).unwrap();
-        assert!(streamed.trace.is_none(), "sink path never materializes a Trace itself");
-        assert_eq!(streamed.outputs, buffered.outputs);
-        assert_eq!(streamed.metrics, buffered.metrics);
-        let trace = buffer.into_trace();
-        assert_eq!(Some(&trace), buffered.trace.as_ref());
+        // Observing never changes the run.
+        assert_eq!(streamed.outputs, silent.outputs);
+        assert_eq!(streamed.metrics, silent.metrics);
+        assert_eq!(buffered.metrics, silent.metrics);
+        let trace = tee_buffer.into_trace();
+        assert_eq!(trace, buffer.into_trace(), "a teed buffer sees the same stream");
         assert!(trace.events.iter().any(|e| matches!(e, TraceEvent::Decide { .. })));
         validate_trace_against_metrics(&trace, &streamed.metrics, true).unwrap();
         let rows = series.into_rows();
@@ -1085,7 +990,10 @@ mod tests {
     #[test]
     fn driver_matches_legacy_loop() {
         let g = Graph::from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (0, 2)]).unwrap();
-        let cfg = EngineConfig { loss_probability: 0.2, loss_seed: 7, ..EngineConfig::default() };
+        let cfg = EngineConfig {
+            fault: FaultPlan::Iid { probability: 0.2, seed: 7 },
+            ..EngineConfig::default()
+        };
         let mut new_buf = TraceBuffer::new(true);
         let new_run =
             run_protocol_with_sink(&g, &cfg, |id, _| DropProbe { id, heard: 0 }, &mut new_buf)
@@ -1126,33 +1034,5 @@ mod tests {
         .unwrap_err();
         assert_eq!(new_err, old_err);
         assert_eq!(new_buf.into_trace(), old_buf.into_trace());
-    }
-
-    /// Both alarm-queue kinds drive byte-identical runs.
-    #[test]
-    fn alarm_kinds_agree() {
-        let g = generators::star(6).unwrap();
-        let cfg = EngineConfig::default();
-        let mut a = TraceBuffer::new(true);
-        let ra = run_protocol_with_alarms(
-            &g,
-            &cfg,
-            |id, _| DropProbe { id, heard: 0 },
-            &mut a,
-            AlarmKind::Heap,
-        )
-        .unwrap();
-        let mut b = TraceBuffer::new(true);
-        let rb = run_protocol_with_alarms(
-            &g,
-            &cfg,
-            |id, _| DropProbe { id, heard: 0 },
-            &mut b,
-            AlarmKind::Wheel,
-        )
-        .unwrap();
-        assert_eq!(ra.outputs, rb.outputs);
-        assert_eq!(ra.metrics, rb.metrics);
-        assert_eq!(a.into_trace(), b.into_trace());
     }
 }

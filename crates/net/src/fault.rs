@@ -12,9 +12,9 @@
 //!
 //! Four fault processes are modeled:
 //!
-//! * [`FaultPlan::Iid`] — independent per-message loss, the original
-//!   `loss_probability` process, byte-identical to it for the same
-//!   probability and seed;
+//! * [`FaultPlan::Iid`] — independent per-message loss, the engine's
+//!   original loss process (tape format v1 records it as the header's
+//!   loss pair);
 //! * [`FaultPlan::Burst`] — a two-state Gilbert–Elliott channel: a
 //!   hidden good/bad state flips with `p_enter`/`p_exit` per message and
 //!   each state has its own loss probability, producing correlated loss
@@ -70,8 +70,8 @@ pub enum FaultPlan {
     /// No injected faults (the paper's reliable model).
     #[default]
     None,
-    /// Independent per-message loss. Byte-identical to the legacy
-    /// `loss_probability`/`loss_seed` fields for the same values.
+    /// Independent per-message loss: one Bernoulli draw per message from
+    /// a seeded RNG.
     Iid {
         /// Per-message loss probability in `[0, 1]`.
         probability: f64,

@@ -75,11 +75,11 @@ mod tape;
 mod trace;
 mod validate;
 
-pub use alarm::{AlarmKind, AlarmQueue, HeapAlarms, TimerWheel, WHEEL_SLOTS};
+pub use alarm::{TimerWheel, WHEEL_SLOTS};
 pub use energy::{EnergyModel, EnergyReport};
 pub use engine::{
-    run_protocol, run_protocol_taped, run_protocol_with_alarms, run_protocol_with_sink,
-    run_protocol_with_sink_legacy, EngineConfig, RunOutcome,
+    run_protocol, run_protocol_taped, run_protocol_with_sink, run_protocol_with_sink_legacy,
+    EngineConfig, RunOutcome,
 };
 pub use error::EngineError;
 pub use fault::{CrashWindow, FaultModel, FaultPlan, LinkWindow};

@@ -21,7 +21,7 @@ pub struct NodeMetrics {
     /// the sleeping model).
     pub messages_dropped: u64,
     /// Messages addressed to this node lost by injected transit failures
-    /// (see [`EngineConfig::loss_probability`](crate::EngineConfig)).
+    /// (see [`EngineConfig::fault`](crate::EngineConfig::fault)).
     #[serde(default)]
     pub messages_lost: u64,
     /// Total bits this node sent.

@@ -52,11 +52,10 @@ impl TraceSink for NullSink {
 
 /// The classic full-trace sink: buffers every event into a [`Trace`].
 ///
-/// This is what [`run_protocol`](crate::run_protocol) uses when
-/// [`EngineConfig::trace`](crate::EngineConfig::trace) is set. Message
-/// events are kept only when constructed with `messages = true`, so a
-/// `TraceBuffer` records the same `Trace` whether it runs alone or teed
-/// with a message-hungry sink.
+/// Pass one to [`run_protocol_with_sink`](crate::run_protocol_with_sink)
+/// to keep a run's trace. Message events are kept only when constructed
+/// with `messages = true`, so a `TraceBuffer` records the same `Trace`
+/// whether it runs alone or teed with a message-hungry sink.
 #[derive(Debug, Clone, Default)]
 pub struct TraceBuffer {
     trace: Trace,

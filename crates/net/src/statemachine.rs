@@ -3,8 +3,8 @@
 //! no I/O, and no clocks inside.
 //!
 //! [`SleepyEngine`] owns everything the round loop used to own inline —
-//! node statuses, the wake-alarm [`AlarmQueue`], per-node metrics, the
-//! loss process, CONGEST budget enforcement, and trace-event generation
+//! node statuses, the wake-alarm [`TimerWheel`], per-node metrics, the
+//! fault process, CONGEST budget enforcement, and trace-event generation
 //! — while the *protocol instances* stay outside, behind a driver (see
 //! [`run_protocol_with_sink`](crate::run_protocol_with_sink)). The
 //! driver answers [`EngineOutput::PollSend`] / [`EngineOutput::PollReceive`]
@@ -25,7 +25,7 @@
 //! poll prompt is pending at any time, which is what pins the
 //! interleaving to the legacy loop's byte-identical trace order.
 
-use crate::alarm::{AlarmKind, AlarmQueue};
+use crate::alarm::TimerWheel;
 use crate::engine::{merge_sorted, EngineConfig};
 use crate::error::EngineError;
 use crate::fault::FaultModel;
@@ -232,7 +232,7 @@ pub struct SleepyEngine<'g> {
     carry: Vec<NodeId>,
     /// Scratch for the nodes woken at the start of a round.
     woken: Vec<NodeId>,
-    alarms: AlarmQueue,
+    alarms: TimerWheel,
     outputs: VecDeque<EngineOutput>,
     phase: Phase,
     remaining: usize,
@@ -242,41 +242,24 @@ pub struct SleepyEngine<'g> {
 }
 
 impl<'g> SleepyEngine<'g> {
-    /// A fresh engine over `graph`, using the default deadline queue
-    /// ([`AlarmKind::Wheel`]). `messages` controls whether message-level
-    /// [`EngineOutput::Event`]s are generated (drivers pass their sink's
-    /// [`wants_messages`](crate::TraceSink::wants_messages)); delivery
-    /// outputs are always generated.
-    ///
-    /// `config.trace` / `config.trace_messages` are ignored here — they
-    /// configure [`run_protocol`](crate::run_protocol)'s implicit buffer
-    /// sink, not the core.
+    /// A fresh engine over `graph`. `messages` controls whether
+    /// message-level [`EngineOutput::Event`]s are generated (drivers pass
+    /// their sink's [`wants_messages`](crate::TraceSink::wants_messages));
+    /// delivery outputs are always generated.
     pub fn new(graph: &'g Graph, config: &EngineConfig, messages: bool) -> Self {
-        SleepyEngine::with_alarms(graph, config, messages, AlarmKind::default())
-    }
-
-    /// [`SleepyEngine::new`] with an explicit deadline-queue choice. Both
-    /// kinds produce byte-identical output streams; the choice only
-    /// matters for performance (see `fleet bench-wakes`).
-    pub fn with_alarms(
-        graph: &'g Graph,
-        config: &EngineConfig,
-        messages: bool,
-        alarms: AlarmKind,
-    ) -> Self {
         let n = graph.n();
         let mut sm = SleepyEngine {
             graph,
             max_rounds: config.max_rounds,
             congest_bits: config.congest_bits,
-            fault: config.effective_fault().build(),
+            fault: config.fault.build(),
             messages,
             status: vec![Status::Awake; n],
             metrics: vec![NodeMetrics::default(); n],
             active: (0..n as NodeId).collect(),
             carry: Vec::with_capacity(n),
             woken: Vec::new(),
-            alarms: AlarmQueue::new(alarms),
+            alarms: TimerWheel::new(),
             outputs: VecDeque::new(),
             phase: Phase::Done,
             remaining: n,

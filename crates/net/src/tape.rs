@@ -21,12 +21,18 @@
 //!    the format version, a label/seed stamped by the recording tool,
 //!    the graph (`n` plus a canonical edge list — [`Graph::from_edges`]
 //!    rebuilds the identical CSR from it), and the engine knobs that
-//!    affect replay (`max_rounds`, `congest_bits`, the loss process,
-//!    and whether message-level events were generated);
+//!    affect replay (`max_rounds`, `congest_bits`, the fault plan, and
+//!    whether message-level events were generated);
 //! 2. one line per [`EngineInput`], in order;
 //! 3. an end line with the output count, the FNV-1a-64 digest of the
 //!    output stream (each output rendered as compact JSON plus a
 //!    newline), and the run's error, if it failed.
+//!
+//! Version 1 spells a [`FaultPlan::Iid`] plan as the header pair
+//! `loss_probability`/`loss_seed` and writes no `fault` key; any other
+//! plan is written as the pair `0.0`/`0` plus a `fault` key. On replay a
+//! `fault` key other than `null` wins, and otherwise a nonzero pair is
+//! the `Iid` plan. This module is the only place that knows the pair.
 
 use crate::engine::EngineConfig;
 use crate::fault::FaultPlan;
@@ -90,15 +96,18 @@ pub struct TapeHeader {
     pub max_rounds: Round,
     /// [`EngineConfig::congest_bits`] at capture time.
     pub congest_bits: Option<usize>,
-    /// [`EngineConfig::loss_probability`] at capture time (exact: the
-    /// JSON rendering round-trips the f64 bit pattern).
+    /// The loss probability of a [`FaultPlan::Iid`] plan at capture
+    /// time, `0.0` for any other plan (exact: the JSON rendering
+    /// round-trips the f64 bit pattern).
     pub loss_probability: f64,
-    /// [`EngineConfig::loss_seed`] at capture time.
+    /// The seed of a [`FaultPlan::Iid`] plan at capture time, `0` for
+    /// any other plan.
     pub loss_seed: u64,
-    /// [`EngineConfig::fault`] at capture time — the generalized fault
-    /// plan. Serialized as an optional `fault` header key only when it
-    /// is not [`FaultPlan::None`], so fault-free tapes keep their exact
-    /// pre-fault byte layout.
+    /// [`EngineConfig::fault`] at capture time unless it is
+    /// [`FaultPlan::Iid`] (which rides in the pair above), else
+    /// [`FaultPlan::None`]. Serialized as an optional `fault` header key
+    /// only when it is not [`FaultPlan::None`], so fault-free and i.i.d.
+    /// tapes keep their exact pre-fault byte layout.
     pub fault: FaultPlan,
     /// Whether message-level events were generated (the recording
     /// sink's [`wants_messages`](crate::TraceSink::wants_messages)) —
@@ -107,16 +116,22 @@ pub struct TapeHeader {
 }
 
 impl TapeHeader {
+    /// The fault plan a replay must run under: the `fault` key wins, and
+    /// otherwise a nonzero loss pair is the [`FaultPlan::Iid`] plan.
+    fn fault_plan(&self) -> FaultPlan {
+        if self.fault.is_none() && self.loss_probability > 0.0 {
+            FaultPlan::Iid { probability: self.loss_probability, seed: self.loss_seed }
+        } else {
+            self.fault.clone()
+        }
+    }
+
     /// The engine configuration a replay must run under.
     fn engine_config(&self) -> EngineConfig {
         EngineConfig {
             max_rounds: self.max_rounds,
-            trace: false,
-            trace_messages: false,
             congest_bits: self.congest_bits,
-            loss_probability: self.loss_probability,
-            loss_seed: self.loss_seed,
-            fault: self.fault.clone(),
+            fault: self.fault_plan(),
         }
     }
 
@@ -307,7 +322,7 @@ fn parse_header(line: usize, text: &str) -> Result<TapeHeader, TapeError> {
         None => FaultPlan::None,
         Some(f) => FaultPlan::from_value(f).map_err(|reason| TapeError::Parse { line, reason })?,
     };
-    Ok(TapeHeader {
+    let header = TapeHeader {
         label: field_str(line, &v, "label")?.to_string(),
         seed: field_u64(line, &v, "seed")?,
         n: field_u64(line, &v, "n")? as usize,
@@ -318,7 +333,11 @@ fn parse_header(line: usize, text: &str) -> Result<TapeHeader, TapeError> {
         loss_seed: field_u64(line, &v, "loss_seed")?,
         fault,
         messages: field_bool(line, &v, "messages")?,
-    })
+    };
+    // The pair is an unvalidated plan until here; an out-of-range one
+    // must not reach `FaultPlan::build`.
+    header.fault_plan().validate().map_err(|reason| TapeError::Parse { line, reason })?;
+    Ok(header)
 }
 
 fn parse_input(line: usize, v: &Value) -> Result<EngineInput, TapeError> {
@@ -396,6 +415,10 @@ pub(crate) struct TapeRecorder {
 
 impl TapeRecorder {
     pub(crate) fn new(graph: &Graph, config: &EngineConfig, messages: bool) -> Self {
+        let (loss_probability, loss_seed, fault) = match config.fault {
+            FaultPlan::Iid { probability, seed } => (probability, seed, FaultPlan::None),
+            ref other => (0.0, 0, other.clone()),
+        };
         TapeRecorder {
             header: TapeHeader {
                 label: String::new(),
@@ -404,9 +427,9 @@ impl TapeRecorder {
                 edges: graph.edges().collect(),
                 max_rounds: config.max_rounds,
                 congest_bits: config.congest_bits,
-                loss_probability: config.loss_probability,
-                loss_seed: config.loss_seed,
-                fault: config.fault.clone(),
+                loss_probability,
+                loss_seed,
+                fault,
                 messages,
             },
             inputs: Vec::new(),
@@ -599,7 +622,10 @@ mod tests {
 
     fn record() -> (Result<RunOutcome<u64>, EngineError>, Tape) {
         let g = Graph::from_edges(3, [(0, 1), (0, 2), (1, 2)]).unwrap();
-        let cfg = EngineConfig { loss_probability: 0.1, loss_seed: 5, ..EngineConfig::default() };
+        let cfg = EngineConfig {
+            fault: FaultPlan::Iid { probability: 0.1, seed: 5 },
+            ..EngineConfig::default()
+        };
         let mut buffer = TraceBuffer::new(true);
         run_protocol_taped(&g, &cfg, |id, _| Mixer { id, heard: 0 }, &mut buffer)
     }
@@ -740,6 +766,39 @@ mod tests {
             "\"loss_seed\":5,\"fault\":{\"kind\":\"iid\",\"probability\":7.0,\"seed\":0}",
             1,
         );
+        assert!(matches!(Tape::from_jsonl(&bad), Err(TapeError::Parse { line: 1, .. })));
+    }
+
+    /// Version 1 spells an i.i.d. plan as the header's loss pair: no
+    /// `fault` key on write, and the pair is the plan on replay unless a
+    /// `fault` key says otherwise.
+    #[test]
+    fn iid_plans_record_as_the_v1_loss_pair() {
+        use crate::fault::CrashWindow;
+        let (_, tape) = record();
+        assert_eq!((tape.header.loss_probability, tape.header.loss_seed), (0.1, 5));
+        assert_eq!(tape.header.fault, FaultPlan::None);
+        assert_eq!(tape.header.fault_plan(), FaultPlan::Iid { probability: 0.1, seed: 5 });
+        let text = tape.to_jsonl();
+        assert!(text.contains("\"loss_probability\":0.1,\"loss_seed\":5,\"messages\""), "{text}");
+        // Any other plan writes a zero pair plus the `fault` key.
+        let g = Graph::from_edges(3, [(0, 1), (0, 2), (1, 2)]).unwrap();
+        let crash = FaultPlan::Crash { windows: vec![CrashWindow { node: 1, start: 0, end: 2 }] };
+        let cfg = EngineConfig { fault: crash.clone(), ..EngineConfig::default() };
+        let (_, tape) = run_protocol_taped(&g, &cfg, |id, _| Mixer { id, heard: 0 }, &mut NullSink);
+        assert_eq!((tape.header.loss_probability, tape.header.loss_seed), (0.0, 0));
+        // A header carrying both a nonzero pair and a `fault` key (older
+        // writers produced one) replays under the `fault` key.
+        let both = tape.to_jsonl().replacen(
+            "\"loss_probability\":0.0,\"loss_seed\":0",
+            "\"loss_probability\":0.5,\"loss_seed\":3",
+            1,
+        );
+        let parsed = Tape::from_jsonl(&both).unwrap();
+        assert_eq!(parsed.header.fault_plan(), crash);
+        assert_eq!(replay_tape(&parsed).unwrap().outputs_fnv, tape.outputs_fnv);
+        // An out-of-range pair is a parse error, not a panic at replay.
+        let bad = text.replacen("\"loss_probability\":0.1", "\"loss_probability\":7.0", 1);
         assert!(matches!(Tape::from_jsonl(&bad), Err(TapeError::Parse { line: 1, .. })));
     }
 

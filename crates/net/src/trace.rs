@@ -4,9 +4,9 @@ use crate::Round;
 use serde::{Deserialize, Serialize};
 use sleepy_graph::NodeId;
 
-/// One engine event. Message-level events are only recorded when
-/// [`EngineConfig::trace_messages`](crate::EngineConfig::trace_messages)
-/// is set, since they dominate trace volume.
+/// One engine event. Message-level events are only generated for sinks
+/// whose [`wants_messages`](crate::TraceSink::wants_messages) is true,
+/// since they dominate trace volume.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 #[non_exhaustive]
 pub enum TraceEvent {
@@ -54,7 +54,7 @@ pub enum TraceEvent {
     },
     /// A message was lost to injected transit failure before reaching the
     /// addressee (only with message tracing enabled; see
-    /// [`EngineConfig::loss_probability`](crate::EngineConfig)).
+    /// [`EngineConfig::fault`](crate::EngineConfig::fault)).
     MessageLost {
         /// Round of the event.
         round: Round,

@@ -20,7 +20,7 @@ use sleepy::graph::{Graph, NodeId};
 use sleepy::mis::{MisConfig, PreparedMis, SleepingMisProtocol};
 use sleepy::net::{
     replay_tape, run_protocol_taped, run_protocol_with_sink, run_protocol_with_sink_legacy,
-    EngineConfig, NodeCtx, Protocol, Tape, TraceBuffer,
+    EngineConfig, FaultPlan, NodeCtx, Protocol, Tape, TraceBuffer,
 };
 
 /// Strategy: an arbitrary simple graph as (n, edge set).
@@ -46,11 +46,14 @@ fn arb_graph(max_n: usize) -> impl Strategy<Value = Graph> {
 fn arb_config(lossy_cap: u64) -> impl Strategy<Value = EngineConfig> {
     (0usize..3, 0u64..50).prop_map(move |(p, s)| {
         let loss = [0.0, 0.15, 0.5][p];
-        EngineConfig {
-            loss_probability: loss,
-            loss_seed: s,
-            max_rounds: if loss > 0.0 { lossy_cap } else { EngineConfig::default().max_rounds },
-            ..EngineConfig::default()
+        if loss > 0.0 {
+            EngineConfig {
+                max_rounds: lossy_cap,
+                fault: FaultPlan::Iid { probability: loss, seed: s },
+                ..EngineConfig::default()
+            }
+        } else {
+            EngineConfig::default()
         }
     })
 }

@@ -8,10 +8,11 @@
 //! (ordering, loss process, alarm handling, error paths) breaks the
 //! digest here before it can silently shift experiment artifacts.
 
+use sleepy_baselines::BaselineKind;
 use sleepy_fleet::tape::{record_tape, replay_text};
 use sleepy_fleet::AlgoKind;
 use sleepy_graph::GraphFamily;
-use sleepy_net::{replay_tape, EngineConfig, FaultPlan, Tape};
+use sleepy_net::{replay_tape, CrashWindow, EngineConfig, FaultPlan, Tape};
 
 fn corpus() -> Vec<(String, String)> {
     let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/tapes");
@@ -84,10 +85,13 @@ fn corpus_covers_the_required_edge_cases() {
 fn fresh_recordings_survive_the_full_cycle() {
     // record → serialize → parse → replay, end to end in-process, for a
     // sleeping-model algorithm and a baseline (with loss).
-    let lossy = EngineConfig { loss_probability: 0.3, loss_seed: 5, ..EngineConfig::default() };
+    let lossy = EngineConfig {
+        fault: FaultPlan::Iid { probability: 0.3, seed: 5 },
+        ..EngineConfig::default()
+    };
     for (algo, config) in [
         (AlgoKind::FastSleepingMis, EngineConfig::default()),
-        (AlgoKind::Baseline(sleepy_baselines::BaselineKind::LubyA), lossy),
+        (AlgoKind::Baseline(BaselineKind::LubyA), lossy),
     ] {
         let tape = record_tape(algo, GraphFamily::GnpAvgDeg(6.0), 14, 21, &config)
             .unwrap_or_else(|e| panic!("{algo}: {e}"));
@@ -96,5 +100,62 @@ fn fresh_recordings_survive_the_full_cycle() {
         assert_eq!(parsed.to_jsonl(), text, "{algo}: round-trip not canonical");
         let line = replay_text("fresh", &text).unwrap_or_else(|e| panic!("{algo}: {e}"));
         assert!(line.contains("OK"), "{algo}: {line}");
+    }
+}
+
+#[test]
+fn corpus_tapes_re_record_byte_for_byte() {
+    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/tapes");
+    let with_fault = |fault| EngineConfig { fault, ..EngineConfig::default() };
+    // Each tape's original `fleet record-tape` arguments.
+    let cases = [
+        (
+            "alg1_gnp12_loss",
+            AlgoKind::SleepingMis,
+            GraphFamily::GnpAvgDeg(8.0),
+            12,
+            9,
+            with_fault(FaultPlan::Iid { probability: 0.2, seed: 11 }),
+        ),
+        (
+            "alg2_gnp14_burst",
+            AlgoKind::FastSleepingMis,
+            GraphFamily::GnpAvgDeg(8.0),
+            14,
+            5,
+            with_fault(FaultPlan::Burst {
+                p_enter: 0.15,
+                p_exit: 0.3,
+                loss_good: 0.02,
+                loss_bad: 0.9,
+                seed: 77,
+            }),
+        ),
+        (
+            "luby_b_star12_crash",
+            AlgoKind::Baseline(BaselineKind::LubyB),
+            GraphFamily::Star,
+            12,
+            3,
+            with_fault(FaultPlan::Crash {
+                windows: vec![CrashWindow { node: 2, start: 0, end: 40 }],
+            }),
+        ),
+        ("alg1_star8", AlgoKind::SleepingMis, GraphFamily::Star, 8, 7, EngineConfig::default()),
+        (
+            "ghaffari_clique8_roundcap",
+            AlgoKind::Baseline(BaselineKind::Ghaffari),
+            GraphFamily::Clique,
+            8,
+            1,
+            EngineConfig { max_rounds: 1, ..EngineConfig::default() },
+        ),
+    ];
+    for (name, algo, family, n, seed, config) in cases {
+        let committed = std::fs::read_to_string(dir.join(format!("{name}.jsonl")))
+            .unwrap_or_else(|e| panic!("{name}: {e}"));
+        let tape =
+            record_tape(algo, family, n, seed, &config).unwrap_or_else(|e| panic!("{name}: {e}"));
+        assert_eq!(tape.to_jsonl(), committed, "{name}: re-recording changed the bytes");
     }
 }
