@@ -86,12 +86,12 @@ pub fn run_baseline(
 /// # Errors
 ///
 /// Same as [`run_baseline`].
-pub fn run_baseline_with_sink(
+pub fn run_baseline_with_sink<S: TraceSink + ?Sized>(
     graph: &Graph,
     kind: BaselineKind,
     seed: u64,
     engine_config: &EngineConfig,
-    sink: &mut dyn TraceSink,
+    sink: &mut S,
 ) -> Result<BaselineRun, EngineError> {
     match kind {
         BaselineKind::LubyA => collect(run_protocol_with_sink(

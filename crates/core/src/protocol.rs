@@ -97,7 +97,8 @@ pub struct NodeOutput {
 }
 
 /// Immutable per-run data shared by all node protocols: validated depth,
-/// schedule, and the precomputed durations T(0..=K).
+/// schedule, and the precomputed durations T(0..=K). Build it once per
+/// run; every [`SleepingMisProtocol`] borrows it.
 #[derive(Debug, Clone)]
 pub struct PreparedMis {
     /// The validated configuration.
@@ -196,8 +197,8 @@ struct Frame {
 /// Construct via [`SleepingMisProtocol::new`] and run with
 /// [`run_sleeping_mis`] (or [`sleepy_net::run_protocol`] directly).
 #[derive(Debug, Clone)]
-pub struct SleepingMisProtocol {
-    prepared: PreparedMis,
+pub struct SleepingMisProtocol<'p> {
+    prepared: &'p PreparedMis,
     coins: NodeRandomness,
     status: MisStatus,
     stack: Vec<Frame>,
@@ -208,19 +209,21 @@ pub struct SleepingMisProtocol {
     done: bool,
 }
 
-impl SleepingMisProtocol {
+impl<'p> SleepingMisProtocol<'p> {
     /// Creates the state machine for node `id`.
     ///
-    /// All nodes of a run must share the same `prepared` data (clone it
-    /// into the factory closure).
-    pub fn new(id: NodeId, prepared: PreparedMis) -> Self {
+    /// All nodes of a run must share the same `prepared` data: build one
+    /// [`PreparedMis`] per run and lend it to every node from the factory
+    /// closure, as [`run_sleeping_mis`] does. The node keeps only the
+    /// borrow, so per-node memory does not grow with the schedule.
+    pub fn new(id: NodeId, prepared: &'p PreparedMis) -> Self {
         let coins = NodeRandomness::derive(prepared.config.seed, id);
         let depth = prepared.depth;
         let mut p = SleepingMisProtocol {
             prepared,
             coins,
             status: MisStatus::Unknown,
-            stack: Vec::with_capacity(depth as usize + 1),
+            stack: Vec::new(),
             terminate_immediately: false,
             base_timeout: false,
             done: false,
@@ -340,7 +343,7 @@ impl SleepingMisProtocol {
     }
 }
 
-impl Protocol for SleepingMisProtocol {
+impl Protocol for SleepingMisProtocol<'_> {
     type Msg = MisMsg;
     type Output = NodeOutput;
 
@@ -619,17 +622,17 @@ pub fn run_sleeping_mis(
 /// # Errors
 ///
 /// Same as [`run_sleeping_mis`].
-pub fn run_sleeping_mis_with_sink(
+pub fn run_sleeping_mis_with_sink<S: TraceSink + ?Sized>(
     graph: &Graph,
     config: MisConfig,
     engine_config: &EngineConfig,
-    sink: &mut dyn TraceSink,
+    sink: &mut S,
 ) -> Result<MisRunResult, MisError> {
     let prepared = PreparedMis::new(graph.n(), config)?;
     let outcome = run_protocol_with_sink(
         graph,
         engine_config,
-        |id, _ctx| SleepingMisProtocol::new(id, prepared.clone()),
+        |id, _ctx| SleepingMisProtocol::new(id, &prepared),
         sink,
     )?;
     Ok(collect_mis(outcome))
@@ -656,7 +659,7 @@ pub fn run_sleeping_mis_taped(
     let (result, tape) = run_protocol_taped(
         graph,
         engine_config,
-        |id, _ctx| SleepingMisProtocol::new(id, prepared.clone()),
+        |id, _ctx| SleepingMisProtocol::new(id, &prepared),
         sink,
     );
     (result.map(collect_mis).map_err(MisError::from), Some(tape))

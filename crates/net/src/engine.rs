@@ -4,15 +4,19 @@
 //! [`SleepyEngine`](crate::SleepyEngine) (`statemachine` module) and the
 //! functions here are thin drivers: they run protocol callbacks whenever
 //! the state machine asks ([`EngineOutput::PollSend`] /
-//! [`EngineOutput::PollReceive`]), move payloads between outboxes and
-//! inboxes, and forward trace outputs into the caller's sink. The
+//! [`EngineOutput::PollReceive`]), copy delivered payloads from the
+//! sender's [`Outbox`] into inboxes, and forward trace outputs into the
+//! caller's sink. Unless it records a tape, the driver allocates
+//! nothing in steady state: the outbox, the inboxes, the `Sends`
+//! message list and the engine's output queue all keep their capacity
+//! from round to round. The
 //! pre-refactor monolithic loop survives as
 //! [`run_protocol_with_sink_legacy`] — a differential oracle the test
 //! suite holds the state machine byte-identical to.
 
 use crate::error::EngineError;
 use crate::fault::FaultPlan;
-use crate::message::{Incoming, MessageSize, Outbox};
+use crate::message::{Incoming, Outbox};
 use crate::metrics::{NodeMetrics, RunMetrics};
 use crate::protocol::{Action, NodeCtx, Protocol};
 use crate::sink::{NullSink, TraceSink};
@@ -28,8 +32,9 @@ use std::collections::BinaryHeap;
 #[derive(Debug, Clone, PartialEq)]
 pub struct EngineConfig {
     /// Abort with [`EngineError::MaxRoundsExceeded`] if the round counter
-    /// passes this value. The default is effectively unlimited; set a cap in
-    /// tests and failure-injection experiments.
+    /// passes this value (or reaches `Round::MAX`, which no run may
+    /// process). The default is effectively unlimited; set a cap in tests
+    /// and failure-injection experiments.
     pub max_rounds: Round,
     /// If `Some(budget)`, abort with
     /// [`EngineError::MessageTooLarge`] when a message exceeds `budget`
@@ -106,20 +111,23 @@ where
 /// [`TraceSink`](crate::TraceSink) for the exact per-round sequence.
 /// Message-level events are generated only when
 /// [`TraceSink::wants_messages`](crate::TraceSink::wants_messages) is
-/// true.
+/// true. The sink type is a generic parameter, so a concrete sink (such
+/// as [`NullSink`]) is called statically and a `&mut dyn TraceSink`
+/// works as well.
 ///
 /// # Errors
 ///
 /// See [`run_protocol`].
-pub fn run_protocol_with_sink<P, F>(
+pub fn run_protocol_with_sink<P, F, S>(
     graph: &Graph,
     config: &EngineConfig,
     factory: F,
-    sink: &mut dyn TraceSink,
+    sink: &mut S,
 ) -> Result<RunOutcome<P::Output>, EngineError>
 where
     P: Protocol,
     F: FnMut(NodeId, &NodeCtx) -> P,
+    S: TraceSink + ?Sized,
 {
     drive(graph, config, factory, sink, None)
 }
@@ -152,19 +160,20 @@ where
 
 /// The shared driver: builds the protocol instances, then serves the
 /// [`SleepyEngine`]'s output stream — poll prompts run protocol
-/// callbacks, `Deliver` outputs move payloads into inboxes, trace
+/// callbacks, `Deliver` outputs copy payloads into inboxes, trace
 /// outputs feed the sink (and everything feeds the tape recorder when
 /// present).
-fn drive<P, F>(
+fn drive<P, F, S>(
     graph: &Graph,
     config: &EngineConfig,
     mut factory: F,
-    sink: &mut dyn TraceSink,
+    sink: &mut S,
     mut tap: Option<&mut TapeRecorder>,
 ) -> Result<RunOutcome<P::Output>, EngineError>
 where
     P: Protocol,
     F: FnMut(NodeId, &NodeCtx) -> P,
+    S: TraceSink + ?Sized,
 {
     let n = graph.n();
     let mut nodes: Vec<P> = Vec::with_capacity(n);
@@ -174,12 +183,11 @@ where
     }
     let mut sm = SleepyEngine::new(graph, config, sink.wants_messages());
 
-    // Reusable message plumbing. `payloads` holds the most recent sender's
-    // messages in emission order; `Deliver` outputs index into it (they are
-    // always drained before the next `PollSend` refills it).
+    // Reusable message plumbing. The outbox holds the most recent
+    // sender's messages; `Deliver` outputs index into its payloads (they
+    // are always drained before the next `PollSend` refills it).
     let mut outbox: Outbox<P::Msg> = Outbox::new();
     let mut inboxes: Vec<Vec<Incoming<P::Msg>>> = (0..n).map(|_| Vec::new()).collect();
-    let mut payloads: Vec<P::Msg> = Vec::new();
 
     let mut failure: Option<EngineError> = None;
     while let Some(out) = sm.poll_output() {
@@ -190,28 +198,27 @@ where
             EngineOutput::RoundBegin { round, awake } => sink.round_begin(round, awake as usize),
             EngineOutput::Event(e) => sink.event(&e),
             EngineOutput::Deliver { to, port, from: _, index } => {
-                inboxes[to as usize].push(Incoming { port, msg: payloads[index].clone() });
+                inboxes[to as usize].push(Incoming { port, msg: outbox.payload(index).clone() });
             }
             EngineOutput::PollSend { node, round } => {
                 debug_assert!(failure.is_none(), "no prompt survives a failed input");
                 let ctx = NodeCtx { id: node, n, degree: graph.degree(node), round };
                 outbox.reset(ctx.degree);
                 nodes[node as usize].send(&ctx, &mut outbox);
-                payloads.clear();
-                let mut msgs = Vec::with_capacity(outbox.items().len());
-                for (port, msg) in outbox.items().drain(..) {
-                    msgs.push(OutMsg { port, bits: msg.bits() });
-                    payloads.push(msg);
-                }
-                let input = EngineInput::Sends { node, msgs };
+                // The engine reads the queued `OutMsg` list as it stands;
+                // it then goes back to the outbox with its capacity.
+                let input = EngineInput::Sends { node, msgs: outbox.take_msgs() };
                 if let Some(t) = tap.as_deref_mut() {
                     t.record_input(&input);
                 }
-                if let Err(e) = sm.handle_input(input) {
+                if let Err(e) = sm.handle_input(&input) {
                     // Keep draining: outputs queued before the failure are
                     // part of the sink-visible (and taped) stream, exactly
                     // as the legacy loop emitted them eagerly.
                     failure = Some(e);
+                }
+                if let EngineInput::Sends { msgs, .. } = input {
+                    outbox.restore_msgs(msgs);
                 }
             }
             EngineOutput::PollReceive { node, round } => {
@@ -226,7 +233,7 @@ where
                 if let Some(t) = tap.as_deref_mut() {
                     t.record_input(&input);
                 }
-                if let Err(e) = sm.handle_input(input) {
+                if let Err(e) = sm.handle_input(&input) {
                     failure = Some(e);
                 }
             }
@@ -298,7 +305,7 @@ where
                 None => return Err(EngineError::Deadlock { round, unfinished: remaining }),
             }
         }
-        if round > config.max_rounds {
+        if round > config.max_rounds || round == Round::MAX {
             return Err(EngineError::MaxRoundsExceeded {
                 max_rounds: config.max_rounds,
                 unfinished: remaining,
@@ -331,11 +338,10 @@ where
             let ctx = NodeCtx { id: v, n, degree: graph.degree(v), round };
             outbox.reset(ctx.degree);
             nodes[v as usize].send(&ctx, &mut outbox);
-            for (port, msg) in outbox.items().drain(..) {
+            for (OutMsg { port, bits }, msg) in outbox.drain() {
                 if port >= ctx.degree {
                     return Err(EngineError::InvalidPort { node: v, port, degree: ctx.degree });
                 }
-                let bits = msg.bits();
                 if let Some(budget) = config.congest_bits {
                     if bits > budget {
                         return Err(EngineError::MessageTooLarge { node: v, bits, budget });
@@ -626,6 +632,55 @@ mod tests {
         let cfg = EngineConfig { max_rounds: 10, ..EngineConfig::default() };
         let err = run_protocol(&g, &cfg, |_, _| NeverEnds).unwrap_err();
         assert!(matches!(err, EngineError::MaxRoundsExceeded { max_rounds: 10, unfinished: 2 }));
+    }
+
+    /// Sleeps at round 0 until `wake`, then does `then` there.
+    #[derive(Clone, Copy)]
+    struct LateRiser {
+        wake: Round,
+        then: Action,
+    }
+    impl Protocol for LateRiser {
+        type Msg = ();
+        type Output = ();
+        fn send(&mut self, _: &NodeCtx, _: &mut Outbox<()>) {}
+        fn receive(&mut self, ctx: &NodeCtx, _: &[Incoming<()>]) -> Action {
+            if ctx.round == 0 {
+                Action::SleepUntil(self.wake)
+            } else {
+                self.then
+            }
+        }
+        fn output(&self) -> Option<()> {
+            Some(())
+        }
+    }
+
+    /// Round `Round::MAX` is never processed, so the round counter cannot
+    /// wrap: waking into it or continuing into it is the round cap in both
+    /// loops, and the round before it still completes and is counted.
+    #[test]
+    fn round_counter_stops_before_round_max() {
+        let g = generators::empty(1).unwrap();
+        let cfg = EngineConfig { max_rounds: Round::MAX, ..EngineConfig::default() };
+        let run_both = |p: LateRiser| {
+            let new = run_protocol(&g, &cfg, |_, _| p);
+            let old = run_protocol_with_sink_legacy(&g, &cfg, |_, _| p, &mut NullSink);
+            (new, old)
+        };
+        let capped = EngineError::MaxRoundsExceeded { max_rounds: Round::MAX, unfinished: 1 };
+        for (wake, then) in [
+            (Round::MAX, Action::Terminate),
+            (Round::MAX, Action::Continue),
+            (Round::MAX - 1, Action::Continue),
+        ] {
+            let (new, old) = run_both(LateRiser { wake, then });
+            assert_eq!(new.unwrap_err(), capped, "wake {wake} then {then:?}");
+            assert_eq!(old.unwrap_err(), capped, "wake {wake} then {then:?}");
+        }
+        let (new, old) = run_both(LateRiser { wake: Round::MAX - 1, then: Action::Terminate });
+        assert_eq!(new.unwrap().metrics.total_rounds, Round::MAX);
+        assert_eq!(old.unwrap().metrics.total_rounds, Round::MAX);
     }
 
     struct TerminatesSilently;

@@ -1,5 +1,6 @@
 //! Message plumbing: size accounting, outboxes and inboxes.
 
+use crate::statemachine::OutMsg;
 use sleepy_graph::Port;
 
 /// Size of a message in bits, used for CONGEST accounting.
@@ -58,28 +59,50 @@ pub struct Incoming<M> {
 /// [`Protocol::send`](crate::Protocol::send).
 ///
 /// The engine owns and reuses the buffer; protocols only call
-/// [`send`](Outbox::send) / [`broadcast`](Outbox::broadcast).
+/// [`send`](Outbox::send) / [`broadcast`](Outbox::broadcast). Each queued
+/// message is stored as the state machine's [`OutMsg`] (port and size,
+/// measured once at queue time) plus its payload at the same index, so
+/// the driver hands the `OutMsg` list to the engine as it stands.
 #[derive(Debug)]
 pub struct Outbox<M> {
     degree: usize,
-    items: Vec<(Port, M)>,
+    msgs: Vec<OutMsg>,
+    payloads: Vec<M>,
 }
 
-impl<M: Clone> Outbox<M> {
+impl<M: Clone + MessageSize> Outbox<M> {
     /// Creates an empty outbox (engine use).
     pub(crate) fn new() -> Self {
-        Outbox { degree: 0, items: Vec::new() }
+        Outbox { degree: 0, msgs: Vec::new(), payloads: Vec::new() }
     }
 
     /// Prepares the outbox for a node of the given degree (engine use).
     pub(crate) fn reset(&mut self, degree: usize) {
         self.degree = degree;
-        self.items.clear();
+        self.msgs.clear();
+        self.payloads.clear();
     }
 
-    /// Drains the accumulated messages (engine use).
-    pub(crate) fn items(&mut self) -> &mut Vec<(Port, M)> {
-        &mut self.items
+    /// Moves the queued `OutMsg` list out, leaving an empty one behind;
+    /// hand it back with [`Outbox::restore_msgs`] to keep its capacity
+    /// (engine use).
+    pub(crate) fn take_msgs(&mut self) -> Vec<OutMsg> {
+        std::mem::take(&mut self.msgs)
+    }
+
+    /// Returns a list taken by [`Outbox::take_msgs`] (engine use).
+    pub(crate) fn restore_msgs(&mut self, msgs: Vec<OutMsg>) {
+        self.msgs = msgs;
+    }
+
+    /// The payload of the `index`-th queued message (engine use).
+    pub(crate) fn payload(&self, index: usize) -> &M {
+        &self.payloads[index]
+    }
+
+    /// Drains the queued messages in emission order (engine use).
+    pub(crate) fn drain(&mut self) -> impl Iterator<Item = (OutMsg, M)> + '_ {
+        self.msgs.drain(..).zip(self.payloads.drain(..))
     }
 
     /// Queues `msg` on local port `port`.
@@ -88,14 +111,15 @@ impl<M: Clone> Outbox<M> {
     /// out-of-range port aborts the run with
     /// [`EngineError::InvalidPort`](crate::EngineError::InvalidPort).
     pub fn send(&mut self, port: Port, msg: M) {
-        self.items.push((port, msg));
+        self.msgs.push(OutMsg { port, bits: msg.bits() });
+        self.payloads.push(msg);
     }
 
     /// Queues `msg` on every port (a local broadcast to all neighbors).
     pub fn broadcast(&mut self, msg: M) {
-        for p in 0..self.degree {
-            self.items.push((p, msg.clone()));
-        }
+        let bits = msg.bits();
+        self.msgs.extend((0..self.degree).map(|port| OutMsg { port, bits }));
+        self.payloads.extend(std::iter::repeat_n(msg, self.degree));
     }
 
     /// The degree of the node currently sending.
@@ -129,9 +153,12 @@ mod tests {
         ob.reset(3);
         ob.broadcast(9);
         ob.send(1, 5);
-        assert_eq!(ob.items(), &mut vec![(0, 9), (1, 9), (2, 9), (1, 5)]);
+        let queued: Vec<(OutMsg, u32)> = ob.drain().collect();
+        let sent = |port, msg| (OutMsg { port, bits: 32 }, msg);
+        assert_eq!(queued, vec![sent(0, 9), sent(1, 9), sent(2, 9), sent(1, 5)]);
+        ob.send(0, 1);
         ob.reset(1);
-        assert!(ob.items().is_empty());
+        assert!(ob.take_msgs().is_empty());
         assert_eq!(ob.degree(), 1);
     }
 }

@@ -35,7 +35,6 @@ use crate::trace::TraceEvent;
 use crate::Round;
 use serde::{Serialize, Value};
 use sleepy_graph::{Graph, NodeId, Port};
-use std::collections::VecDeque;
 
 /// Node lifecycle inside the engine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -47,7 +46,8 @@ enum Status {
 
 /// One outgoing message as the state machine sees it: the sender-local
 /// port and the payload size in bits. The payload itself never enters
-/// the state machine — the driver keeps it and pairs it back up via
+/// the state machine — the driver's [`Outbox`](crate::Outbox) keeps it
+/// at the same index and pairs it back up via
 /// [`EngineOutput::Deliver`]'s index — which is what makes inputs
 /// serializable as tapes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -215,11 +215,50 @@ enum Phase {
     Failed,
 }
 
+/// For every directed edge, the port leading back: `of(v)[p]` is the
+/// port of `graph.endpoint(v, p)` whose edge leads to `v`, i.e.
+/// `graph.port_to(graph.endpoint(v, p), v)` without the binary search.
+#[derive(Debug)]
+struct TwinPorts {
+    /// `base[v]..base[v + 1]` indexes `twin` for node `v`'s ports.
+    base: Vec<usize>,
+    twin: Vec<Port>,
+}
+
+impl TwinPorts {
+    /// One O(n + m) pass over the sorted neighbor lists: visiting `v` in
+    /// ascending order, the k-th time `v` shows up in `u`'s list it is
+    /// `u`'s k-th smallest neighbor, hence `u`'s port `k`.
+    fn new(graph: &Graph) -> Self {
+        let n = graph.n();
+        let mut base = Vec::with_capacity(n + 1);
+        base.push(0);
+        for v in 0..n as NodeId {
+            base.push(base[v as usize] + graph.degree(v));
+        }
+        let mut seen = vec![0 as Port; n];
+        let mut twin = Vec::with_capacity(base[n]);
+        for v in 0..n as NodeId {
+            for &u in graph.neighbors(v) {
+                twin.push(seen[u as usize]);
+                seen[u as usize] += 1;
+            }
+        }
+        TwinPorts { base, twin }
+    }
+
+    /// The twin of each of `v`'s ports, indexed by port.
+    fn of(&self, v: NodeId) -> &[Port] {
+        &self.twin[self.base[v as usize]..self.base[v as usize + 1]]
+    }
+}
+
 /// The sans-io sleeping-model engine core. The module-level docs
 /// describe the driving protocol.
 #[derive(Debug)]
 pub struct SleepyEngine<'g> {
     graph: &'g Graph,
+    twins: TwinPorts,
     max_rounds: Round,
     congest_bits: Option<usize>,
     fault: Option<Box<dyn FaultModel>>,
@@ -233,7 +272,11 @@ pub struct SleepyEngine<'g> {
     /// Scratch for the nodes woken at the start of a round.
     woken: Vec<NodeId>,
     alarms: TimerWheel,
-    outputs: VecDeque<EngineOutput>,
+    /// The queued outputs; `outputs[next..]` are still pollable. The
+    /// polled prefix is dropped at each [`SleepyEngine::handle_input`],
+    /// so the queue reuses its capacity for the whole run.
+    outputs: Vec<EngineOutput>,
+    next: usize,
     phase: Phase,
     remaining: usize,
     round: Round,
@@ -245,11 +288,14 @@ impl<'g> SleepyEngine<'g> {
     /// A fresh engine over `graph`. `messages` controls whether
     /// message-level [`EngineOutput::Event`]s are generated (drivers pass
     /// their sink's [`wants_messages`](crate::TraceSink::wants_messages));
-    /// delivery outputs are always generated.
+    /// delivery outputs are always generated. Builds the twin-port table
+    /// that gives each [`EngineOutput::Deliver`] its receiver-local port
+    /// in O(n + m).
     pub fn new(graph: &'g Graph, config: &EngineConfig, messages: bool) -> Self {
         let n = graph.n();
         let mut sm = SleepyEngine {
             graph,
+            twins: TwinPorts::new(graph),
             max_rounds: config.max_rounds,
             congest_bits: config.congest_bits,
             fault: config.fault.build(),
@@ -260,7 +306,8 @@ impl<'g> SleepyEngine<'g> {
             carry: Vec::with_capacity(n),
             woken: Vec::new(),
             alarms: TimerWheel::new(),
-            outputs: VecDeque::new(),
+            outputs: Vec::new(),
+            next: 0,
             phase: Phase::Done,
             remaining: n,
             round: 0,
@@ -268,7 +315,7 @@ impl<'g> SleepyEngine<'g> {
             max_finish: 0,
         };
         if n == 0 {
-            sm.outputs.push_back(EngineOutput::Finished);
+            sm.outputs.push(EngineOutput::Finished);
         } else {
             sm.begin_round().expect("round 0 is always within the cap");
         }
@@ -290,7 +337,9 @@ impl<'g> SleepyEngine<'g> {
                 }
             }
         }
-        if self.round > self.max_rounds {
+        // Round `Round::MAX` is never processed: the counter could not
+        // advance past it, nor could `finish` count it.
+        if self.round > self.max_rounds || self.round == Round::MAX {
             return Err(EngineError::MaxRoundsExceeded {
                 max_rounds: self.max_rounds,
                 unfinished: self.remaining,
@@ -307,23 +356,22 @@ impl<'g> SleepyEngine<'g> {
         debug_assert!(self.active.windows(2).all(|w| w[0] < w[1]));
         debug_assert!(!self.active.is_empty(), "a begun round has at least one awake node");
         self.active_rounds += 1;
-        self.outputs.push_back(EngineOutput::RoundBegin {
-            round: self.round,
-            awake: self.active.len() as u64,
-        });
+        self.outputs
+            .push(EngineOutput::RoundBegin { round: self.round, awake: self.active.len() as u64 });
         for &v in &self.woken {
-            self.outputs
-                .push_back(EngineOutput::Event(TraceEvent::Wake { round: self.round, node: v }));
+            self.outputs.push(EngineOutput::Event(TraceEvent::Wake { round: self.round, node: v }));
         }
         self.carry.clear();
         self.phase = Phase::Send { idx: 0 };
-        self.outputs.push_back(EngineOutput::PollSend { node: self.active[0], round: self.round });
+        self.outputs.push(EngineOutput::PollSend { node: self.active[0], round: self.round });
         Ok(())
     }
 
-    /// Feeds one input. On error the state machine refuses all further
-    /// input; outputs already queued (events preceding the failure, as a
-    /// sink on the legacy loop would have observed them) remain pollable.
+    /// Feeds one input. Outputs already polled are dropped from the queue
+    /// here, so it reuses its capacity for the whole run. On error the
+    /// state machine refuses all further input; outputs already queued
+    /// (events preceding the failure, as a sink on the legacy loop would
+    /// have observed them) remain pollable.
     ///
     /// # Errors
     ///
@@ -331,9 +379,12 @@ impl<'g> SleepyEngine<'g> {
     /// [`run_protocol`](crate::run_protocol), plus
     /// [`EngineError::UnexpectedInput`] if `input` does not answer the
     /// pending poll prompt (a driver bug or a corrupted tape).
-    pub fn handle_input(&mut self, input: EngineInput) -> Result<(), EngineError> {
-        let r = match input {
-            EngineInput::Sends { node, msgs } => self.on_sends(node, &msgs),
+    pub fn handle_input(&mut self, input: &EngineInput) -> Result<(), EngineError> {
+        // Drop what was polled; anything a driver left unpolled stays.
+        self.outputs.drain(..self.next);
+        self.next = 0;
+        let r = match *input {
+            EngineInput::Sends { node, ref msgs } => self.on_sends(node, msgs),
             EngineInput::Step { node, action, output_some } => {
                 self.on_step(node, action, output_some)
             }
@@ -364,7 +415,9 @@ impl<'g> SleepyEngine<'g> {
         };
         self.expect_node(idx, node, "Sends")?;
         let round = self.round;
-        let degree = self.graph.degree(node);
+        let neighbors = self.graph.neighbors(node);
+        let twins = self.twins.of(node);
+        let degree = neighbors.len();
         for (index, m) in msgs.iter().enumerate() {
             if m.port >= degree {
                 return Err(EngineError::InvalidPort { node, port: m.port, degree });
@@ -377,12 +430,12 @@ impl<'g> SleepyEngine<'g> {
             let vm = &mut self.metrics[node as usize];
             vm.messages_sent += 1;
             vm.bits_sent += m.bits as u64;
-            let dst = self.graph.endpoint(node, m.port);
+            let dst = neighbors[m.port];
             if let Some(model) = self.fault.as_mut() {
                 if model.message_lost(round, node, dst) {
                     self.metrics[dst as usize].messages_lost += 1;
                     if self.messages {
-                        self.outputs.push_back(EngineOutput::Event(TraceEvent::MessageLost {
+                        self.outputs.push(EngineOutput::Event(TraceEvent::MessageLost {
                             round,
                             from: node,
                             to: dst,
@@ -393,7 +446,7 @@ impl<'g> SleepyEngine<'g> {
             }
             let delivered = self.status[dst as usize] == Status::Awake;
             if self.messages {
-                self.outputs.push_back(EngineOutput::Event(TraceEvent::Message {
+                self.outputs.push(EngineOutput::Event(TraceEvent::Message {
                     round,
                     from: node,
                     to: dst,
@@ -401,11 +454,9 @@ impl<'g> SleepyEngine<'g> {
                 }));
             }
             if delivered {
-                let port = self
-                    .graph
-                    .port_to(dst, node)
-                    .expect("endpoint/port_to must be mutually consistent");
-                self.outputs.push_back(EngineOutput::Deliver { to: dst, port, from: node, index });
+                let port = twins[m.port];
+                debug_assert_eq!(Some(port), self.graph.port_to(dst, node), "twin-port table");
+                self.outputs.push(EngineOutput::Deliver { to: dst, port, from: node, index });
                 self.metrics[dst as usize].messages_received += 1;
             } else {
                 self.metrics[dst as usize].messages_dropped += 1;
@@ -414,10 +465,10 @@ impl<'g> SleepyEngine<'g> {
         let next = idx + 1;
         if next < self.active.len() {
             self.phase = Phase::Send { idx: next };
-            self.outputs.push_back(EngineOutput::PollSend { node: self.active[next], round });
+            self.outputs.push(EngineOutput::PollSend { node: self.active[next], round });
         } else {
             self.phase = Phase::Receive { idx: 0 };
-            self.outputs.push_back(EngineOutput::PollReceive { node: self.active[0], round });
+            self.outputs.push(EngineOutput::PollReceive { node: self.active[0], round });
         }
         Ok(())
     }
@@ -441,7 +492,7 @@ impl<'g> SleepyEngine<'g> {
             vm.awake_rounds += 1;
             if vm.decide_round.is_none() && output_some {
                 vm.decide_round = Some(round);
-                self.outputs.push_back(EngineOutput::Event(TraceEvent::Decide { round, node }));
+                self.outputs.push(EngineOutput::Event(TraceEvent::Decide { round, node }));
             }
         }
         match action {
@@ -452,7 +503,7 @@ impl<'g> SleepyEngine<'g> {
                 }
                 self.status[node as usize] = Status::Asleep;
                 self.alarms.schedule(wake_at, node);
-                self.outputs.push_back(EngineOutput::Event(TraceEvent::Sleep {
+                self.outputs.push(EngineOutput::Event(TraceEvent::Sleep {
                     round,
                     node,
                     until: wake_at,
@@ -466,19 +517,19 @@ impl<'g> SleepyEngine<'g> {
                 self.metrics[node as usize].finish_round = Some(round);
                 self.max_finish = self.max_finish.max(round);
                 self.remaining -= 1;
-                self.outputs.push_back(EngineOutput::Event(TraceEvent::Terminate { round, node }));
+                self.outputs.push(EngineOutput::Event(TraceEvent::Terminate { round, node }));
             }
         }
         let next = idx + 1;
         if next < self.active.len() {
             self.phase = Phase::Receive { idx: next };
-            self.outputs.push_back(EngineOutput::PollReceive { node: self.active[next], round });
+            self.outputs.push(EngineOutput::PollReceive { node: self.active[next], round });
         } else {
             std::mem::swap(&mut self.active, &mut self.carry);
             self.round += 1;
             if self.remaining == 0 {
                 self.phase = Phase::Done;
-                self.outputs.push_back(EngineOutput::Finished);
+                self.outputs.push(EngineOutput::Finished);
             } else {
                 self.begin_round()?;
             }
@@ -490,7 +541,9 @@ impl<'g> SleepyEngine<'g> {
     /// completely; a driver that polls until `None` before feeding the
     /// pending prompt observes the canonical stream order.
     pub fn poll_output(&mut self) -> Option<EngineOutput> {
-        self.outputs.pop_front()
+        let out = *self.outputs.get(self.next)?;
+        self.next += 1;
+        Some(out)
     }
 
     /// The earliest pending wake alarm, if any — the round the engine
@@ -560,7 +613,7 @@ mod tests {
                 EngineOutput::PollSend { node: 0, round: 0 },
             ]
         );
-        sm.handle_input(EngineInput::Sends { node: 0, msgs: vec![OutMsg { port: 0, bits: 8 }] })
+        sm.handle_input(&EngineInput::Sends { node: 0, msgs: vec![OutMsg { port: 0, bits: 8 }] })
             .unwrap();
         assert_eq!(
             drain(&mut sm),
@@ -575,9 +628,9 @@ mod tests {
                 EngineOutput::PollSend { node: 1, round: 0 },
             ]
         );
-        sm.handle_input(EngineInput::Sends { node: 1, msgs: vec![] }).unwrap();
+        sm.handle_input(&EngineInput::Sends { node: 1, msgs: vec![] }).unwrap();
         assert_eq!(drain(&mut sm), vec![EngineOutput::PollReceive { node: 0, round: 0 }]);
-        sm.handle_input(EngineInput::Step {
+        sm.handle_input(&EngineInput::Step {
             node: 0,
             action: Action::Terminate,
             output_some: true,
@@ -591,7 +644,7 @@ mod tests {
                 EngineOutput::PollReceive { node: 1, round: 0 },
             ]
         );
-        sm.handle_input(EngineInput::Step {
+        sm.handle_input(&EngineInput::Step {
             node: 1,
             action: Action::Terminate,
             output_some: true,
@@ -619,7 +672,7 @@ mod tests {
         drain(&mut sm);
         // A Step during the send phase.
         let err = sm
-            .handle_input(EngineInput::Step {
+            .handle_input(&EngineInput::Step {
                 node: 0,
                 action: Action::Continue,
                 output_some: false,
@@ -627,7 +680,7 @@ mod tests {
             .unwrap_err();
         assert!(matches!(err, EngineError::UnexpectedInput { .. }));
         // After a failure, all input is refused.
-        let err = sm.handle_input(EngineInput::Sends { node: 0, msgs: vec![] }).unwrap_err();
+        let err = sm.handle_input(&EngineInput::Sends { node: 0, msgs: vec![] }).unwrap_err();
         assert!(matches!(err, EngineError::UnexpectedInput { .. }));
     }
 
@@ -636,7 +689,7 @@ mod tests {
         let g = Graph::from_edges(2, [(0, 1)]).unwrap();
         let mut sm = SleepyEngine::new(&g, &EngineConfig::default(), false);
         drain(&mut sm);
-        let err = sm.handle_input(EngineInput::Sends { node: 1, msgs: vec![] }).unwrap_err();
+        let err = sm.handle_input(&EngineInput::Sends { node: 1, msgs: vec![] }).unwrap_err();
         match err {
             EngineError::UnexpectedInput { round, detail } => {
                 assert_eq!(round, 0);
@@ -656,17 +709,17 @@ mod tests {
         drain(&mut sm);
         assert_eq!(sm.next_deadline(), None);
         for node in [0, 1] {
-            sm.handle_input(EngineInput::Sends { node, msgs: vec![] }).unwrap();
+            sm.handle_input(&EngineInput::Sends { node, msgs: vec![] }).unwrap();
             drain(&mut sm);
         }
-        sm.handle_input(EngineInput::Step {
+        sm.handle_input(&EngineInput::Step {
             node: 0,
             action: Action::Continue,
             output_some: false,
         })
         .unwrap();
         drain(&mut sm);
-        sm.handle_input(EngineInput::Step {
+        sm.handle_input(&EngineInput::Step {
             node: 1,
             action: Action::SleepUntil(50),
             output_some: false,
@@ -684,9 +737,9 @@ mod tests {
         assert!(outs.contains(&EngineOutput::RoundBegin { round: 1, awake: 1 }));
         // Node 0 now sleeps until 50 as well: no one is awake, so
         // handle_input jumps the engine straight to round 50 and wakes both.
-        sm.handle_input(EngineInput::Sends { node: 0, msgs: vec![] }).unwrap();
+        sm.handle_input(&EngineInput::Sends { node: 0, msgs: vec![] }).unwrap();
         drain(&mut sm);
-        sm.handle_input(EngineInput::Step {
+        sm.handle_input(&EngineInput::Step {
             node: 0,
             action: Action::SleepUntil(50),
             output_some: false,
@@ -710,10 +763,10 @@ mod tests {
         let cfg = EngineConfig { max_rounds: 3, ..EngineConfig::default() };
         let mut sm = SleepyEngine::new(&g, &cfg, false);
         drain(&mut sm);
-        sm.handle_input(EngineInput::Sends { node: 0, msgs: vec![] }).unwrap();
+        sm.handle_input(&EngineInput::Sends { node: 0, msgs: vec![] }).unwrap();
         drain(&mut sm);
         let err = sm
-            .handle_input(EngineInput::Step {
+            .handle_input(&EngineInput::Step {
                 node: 0,
                 action: Action::SleepUntil(9),
                 output_some: false,
@@ -727,6 +780,34 @@ mod tests {
             node: 0,
             until: 9
         })));
+    }
+
+    /// The twin-port table agrees with `port_to` on every directed edge
+    /// (the delivery path also checks this with a `debug_assert_eq!`).
+    #[test]
+    fn twin_ports_match_port_to() {
+        use sleepy_graph::generators;
+        let graphs = [
+            generators::empty(0).unwrap(),
+            generators::empty(5).unwrap(),
+            Graph::from_edges(6, [(1, 4), (4, 2)]).unwrap(),
+            generators::star(9).unwrap(),
+            generators::clique(7).unwrap(),
+            generators::gnp(60, 0.1, 3).unwrap(),
+            generators::random_geometric(80, 0.2, 5).unwrap(),
+            generators::barabasi_albert(70, 3, 7).unwrap(),
+        ];
+        for (i, graph) in graphs.iter().enumerate() {
+            let twins = TwinPorts::new(graph);
+            assert_eq!(twins.twin.len(), 2 * graph.m(), "graph {i}");
+            for v in graph.node_ids() {
+                assert_eq!(twins.of(v).len(), graph.degree(v), "graph {i} node {v}");
+                for (p, &twin) in twins.of(v).iter().enumerate() {
+                    let u = graph.endpoint(v, p);
+                    assert_eq!(Some(twin), graph.port_to(u, v), "graph {i} edge {v}:{p}");
+                }
+            }
+        }
     }
 
     #[test]

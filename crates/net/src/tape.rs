@@ -504,7 +504,7 @@ pub fn replay_tape(tape: &Tape) -> Result<ReplayOutcome, TapeError> {
                 ),
             });
         }
-        if let Err(e) = sm.handle_input(input.clone()) {
+        if let Err(e) = sm.handle_input(input) {
             error = Some(e.to_string());
         }
         while let Some(o) = sm.poll_output() {

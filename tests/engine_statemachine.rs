@@ -9,6 +9,9 @@
 //! and the final outputs. On top of that, recording the run as a tape
 //! and replaying it through a fresh engine must reproduce the same
 //! metrics — the tape path shares no protocol code with the live run.
+//! The `Chorus` protocol adds what the algorithms never do: several
+//! messages on one port in a round, and a send phase that fails partway
+//! through.
 //!
 //! [`run_protocol_with_sink`]: sleepy::net::run_protocol_with_sink
 //! [`run_protocol_with_sink_legacy`]: sleepy::net::run_protocol_with_sink_legacy
@@ -19,8 +22,9 @@ use sleepy::baselines::{Ghaffari, GreedyCrt, LubyA, LubyB};
 use sleepy::graph::{Graph, NodeId};
 use sleepy::mis::{MisConfig, PreparedMis, SleepingMisProtocol};
 use sleepy::net::{
-    replay_tape, run_protocol_taped, run_protocol_with_sink, run_protocol_with_sink_legacy,
-    EngineConfig, FaultPlan, NodeCtx, Protocol, Tape, TraceBuffer,
+    replay_tape, run_protocol_taped, run_protocol_with_sink, run_protocol_with_sink_legacy, Action,
+    EngineConfig, EngineError, FaultPlan, Incoming, MessageSize, NodeCtx, Outbox, Port, Protocol,
+    Round, Tape, TraceBuffer, TraceEvent,
 };
 
 /// Strategy: an arbitrary simple graph as (n, edge set).
@@ -103,8 +107,158 @@ where
     assert_eq!(reparsed.to_jsonl(), text, "tape serialization not canonical");
 }
 
+/// A payload naming its sender, its place in the sender's emission
+/// order this round, and the round.
+#[derive(Debug, Clone, PartialEq)]
+struct Tagged {
+    from: NodeId,
+    seq: u32,
+    round: Round,
+}
+
+impl MessageSize for Tagged {
+    fn bits(&self) -> usize {
+        64
+    }
+}
+
+/// Every awake round, each node queues a broadcast (seq 1), two sends on
+/// port 0 (seqs 2 and 3), one on its last port (seq 4) and a second
+/// broadcast (seq 5); the `bad` node then queues an out-of-range port
+/// (seq 6) in round 1. Nodes `v % 3 == 1` sleep through round 1, and
+/// everyone terminates in round 2. The output is the node's whole inbox
+/// log, in arrival order.
+#[derive(Debug, Clone)]
+struct Chorus {
+    id: NodeId,
+    bad: bool,
+    log: Vec<(Port, Tagged)>,
+}
+
+impl Chorus {
+    fn awake(v: NodeId, round: Round) -> bool {
+        round != 1 || v % 3 != 1
+    }
+
+    /// The seqs a sender of degree `degree` queues on its port `port`.
+    fn seqs(port: Port, degree: usize) -> Vec<u32> {
+        let mut seqs = vec![1];
+        if port == 0 {
+            seqs.extend([2, 3]);
+        }
+        if port == degree - 1 {
+            seqs.push(4);
+        }
+        seqs.push(5);
+        seqs
+    }
+}
+
+impl Protocol for Chorus {
+    type Msg = Tagged;
+    type Output = Vec<(Port, Tagged)>;
+
+    fn send(&mut self, ctx: &NodeCtx, out: &mut Outbox<Tagged>) {
+        let tag = |seq| Tagged { from: self.id, seq, round: ctx.round };
+        out.broadcast(tag(1));
+        if ctx.degree > 0 {
+            out.send(0, tag(2));
+            out.send(0, tag(3));
+            out.send(ctx.degree - 1, tag(4));
+        }
+        out.broadcast(tag(5));
+        if self.bad && ctx.round == 1 {
+            out.send(ctx.degree + 1, tag(6));
+        }
+    }
+
+    fn receive(&mut self, ctx: &NodeCtx, inbox: &[Incoming<Tagged>]) -> Action {
+        self.log.extend(inbox.iter().map(|m| (m.port, m.msg.clone())));
+        match ctx.round {
+            0 if !Chorus::awake(self.id, 1) => Action::SleepUntil(2),
+            0 | 1 => Action::Continue,
+            _ => Action::Terminate,
+        }
+    }
+
+    fn output(&self) -> Option<Self::Output> {
+        Some(self.log.clone())
+    }
+}
+
+/// Whether `sub` is `full` with some entries left out.
+fn is_subsequence<T: PartialEq>(sub: &[T], full: &[T]) -> bool {
+    let mut rest = full.iter();
+    sub.iter().all(|x| rest.any(|y| y == x))
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
+
+    #[test]
+    fn delivery_order_and_ports_agree(
+        g in arb_graph(20),
+        config in arb_config(EngineConfig::default().max_rounds),
+        seed in 0u64..60,
+    ) {
+        // On a third of the seeds one node queues an invalid port in
+        // round 1, after its valid messages.
+        let bad = (seed % 3 == 0).then(|| (seed / 3) as NodeId % g.n() as NodeId);
+        let factory = |id, _: &NodeCtx| Chorus { id, bad: bad == Some(id), log: Vec::new() };
+        assert_statemachine_conformance(&g, &config, factory);
+
+        let mut buf = TraceBuffer::new(true);
+        let run = run_protocol_with_sink(&g, &config, factory, &mut buf);
+        let trace = buf.into_trace();
+        match (run, bad) {
+            (Ok(run), _) => {
+                // Inboxes hold, per round, the awake neighbors ascending by
+                // id, each one's messages in emission order, under the
+                // receiver's port to that neighbor.
+                for v in g.node_ids() {
+                    let mut expected = Vec::new();
+                    for round in (0..3).filter(|&r| Chorus::awake(v, r)) {
+                        for (port, &u) in g.neighbors(v).iter().enumerate() {
+                            if !Chorus::awake(u, round) {
+                                continue;
+                            }
+                            let sender_port = g.port_to(u, v).unwrap();
+                            for seq in Chorus::seqs(sender_port, g.degree(u)) {
+                                expected.push((port, Tagged { from: u, seq, round }));
+                            }
+                        }
+                    }
+                    let log = run.outputs[v as usize].as_ref().unwrap();
+                    if config.fault == FaultPlan::None {
+                        prop_assert_eq!(log, &expected, "node {}", v);
+                    } else {
+                        prop_assert!(is_subsequence(log, &expected), "node {}: {:?}", v, log);
+                    }
+                }
+            }
+            (Err(err), Some(b)) => {
+                // Only the bad node fails, and the sink still saw every
+                // message it queued before the invalid one.
+                let degree = g.degree(b);
+                prop_assert_eq!(
+                    err,
+                    EngineError::InvalidPort { node: b, port: degree + 1, degree }
+                );
+                let before = trace
+                    .events
+                    .iter()
+                    .filter(|e| match **e {
+                        TraceEvent::Message { round, from, .. }
+                        | TraceEvent::MessageLost { round, from, .. } => round == 1 && from == b,
+                        _ => false,
+                    })
+                    .count();
+                let queued = if degree == 0 { 0 } else { 2 * degree + 3 };
+                prop_assert_eq!(before, queued);
+            }
+            (Err(err), None) => prop_assert!(false, "unexpected error {}", err),
+        }
+    }
 
     #[test]
     fn alg1_statemachine_matches_legacy(
@@ -114,7 +268,7 @@ proptest! {
     ) {
         let prepared = PreparedMis::new(g.n(), MisConfig::alg1(seed)).unwrap();
         assert_statemachine_conformance(&g, &config, |id, _| {
-            SleepingMisProtocol::new(id, prepared.clone())
+            SleepingMisProtocol::new(id, &prepared)
         });
     }
 
@@ -126,7 +280,7 @@ proptest! {
     ) {
         let prepared = PreparedMis::new(g.n(), MisConfig::alg2(seed)).unwrap();
         assert_statemachine_conformance(&g, &config, |id, _| {
-            SleepingMisProtocol::new(id, prepared.clone())
+            SleepingMisProtocol::new(id, &prepared)
         });
     }
 

@@ -11,8 +11,11 @@
 use sleepy_baselines::BaselineKind;
 use sleepy_fleet::tape::{record_tape, replay_text};
 use sleepy_fleet::AlgoKind;
-use sleepy_graph::GraphFamily;
-use sleepy_net::{replay_tape, CrashWindow, EngineConfig, FaultPlan, Tape};
+use sleepy_graph::{Graph, GraphFamily};
+use sleepy_net::{
+    replay_tape, run_protocol_taped, Action, CrashWindow, EngineConfig, FaultPlan, Incoming,
+    NodeCtx, NullSink, Outbox, Protocol, Round, Tape,
+};
 
 fn corpus() -> Vec<(String, String)> {
     let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/tapes");
@@ -158,4 +161,61 @@ fn corpus_tapes_re_record_byte_for_byte() {
             record_tape(algo, family, n, seed, &config).unwrap_or_else(|e| panic!("{name}: {e}"));
         assert_eq!(tape.to_jsonl(), committed, "{name}: re-recording changed the bytes");
     }
+}
+
+/// Header of a one-node tape whose round cap is `Round::MAX` itself.
+const LAST_ROUND_HEADER: &str = "{\"tape\":\"sleepy-engine-tape\",\"version\":1,\
+\"label\":\"last-round/n=1\",\"seed\":0,\"n\":1,\"edges\":[],\
+\"max_rounds\":18446744073709551615,\"congest_bits\":null,\
+\"loss_probability\":0.0,\"loss_seed\":0,\"messages\":false}\n\
+{\"i\":\"sends\",\"node\":0,\"msgs\":[]}\n\
+{\"i\":\"step\",\"node\":0,\"act\":{\"s\":18446744073709551615},\"out\":true}\n";
+
+/// A node that sleeps until the last round `Round::MAX` and terminates
+/// there: the run must end in the round cap, never wrap the round
+/// counter. The tape is what a build whose counter wrapped recorded (it
+/// "finished" with 0 total rounds); replaying it must be a divergence.
+#[test]
+fn reaching_round_max_is_the_round_cap_on_replay() {
+    let wrapped = format!(
+        "{LAST_ROUND_HEADER}{{\"i\":\"sends\",\"node\":0,\"msgs\":[]}}\n\
+         {{\"i\":\"step\",\"node\":0,\"act\":\"t\",\"out\":true}}\n\
+         {{\"end\":true,\"outputs\":11,\"fnv\":\"ebaf7bb6798cae8c\",\"error\":null}}\n"
+    );
+    let tape = Tape::from_jsonl(&wrapped).expect("hand-built tape parses");
+    let err = replay_tape(&tape).expect_err("a wrapped round counter must not replay");
+    assert!(err.to_string().contains("input 2 follows an engine error"), "{err}");
+
+    let capped = format!(
+        "{LAST_ROUND_HEADER}{{\"end\":true,\"outputs\":5,\"fnv\":\"b520fcb1963fe236\",\
+         \"error\":\"round cap 18446744073709551615 exceeded with 1 unfinished nodes\"}}\n"
+    );
+    let tape = Tape::from_jsonl(&capped).expect("hand-built tape parses");
+    let outcome = replay_tape(&tape).unwrap_or_else(|e| panic!("{e}"));
+    assert_eq!(outcome.error, tape.error);
+    assert_eq!(tape.to_jsonl(), capped, "hand-built tape is canonical");
+
+    // A live recording of that run is exactly the capped tape.
+    struct LastRound;
+    impl Protocol for LastRound {
+        type Msg = ();
+        type Output = ();
+        fn send(&mut self, _: &NodeCtx, _: &mut Outbox<()>) {}
+        fn receive(&mut self, ctx: &NodeCtx, _: &[Incoming<()>]) -> Action {
+            if ctx.round == 0 {
+                Action::SleepUntil(Round::MAX)
+            } else {
+                Action::Terminate
+            }
+        }
+        fn output(&self) -> Option<()> {
+            Some(())
+        }
+    }
+    let graph = Graph::from_edges(1, []).unwrap();
+    let config = EngineConfig { max_rounds: Round::MAX, ..EngineConfig::default() };
+    let (run, mut live) = run_protocol_taped(&graph, &config, |_, _| LastRound, &mut NullSink);
+    assert!(run.is_err());
+    live.header.label = "last-round/n=1".to_string();
+    assert_eq!(live.to_jsonl(), capped);
 }
