@@ -2,6 +2,7 @@
 //! (Coppersmith–Raghavan–Tompa; tight O(log n) analysis by
 //! Fischer–Noever).
 
+use crate::runner::sent;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use sleepy_graph::{NodeId, Port};
@@ -114,10 +115,8 @@ impl Protocol for GreedyCrt {
             if self.announced_join {
                 return Action::Terminate;
             }
-            let joined: Vec<Port> =
-                inbox.iter().filter(|m| m.msg == GreedyMsg::Join).map(|m| m.port).collect();
-            if !joined.is_empty() {
-                self.alive.retain(|&(p, _, _)| !joined.contains(&p));
+            if inbox.iter().any(|m| m.msg == GreedyMsg::Join) {
+                self.alive.retain(|&(p, _, _)| !sent(inbox, p, GreedyMsg::Join));
                 debug_assert!(self.in_mis.is_none());
                 self.in_mis = Some(false);
                 self.eliminated_now = true;
@@ -125,9 +124,7 @@ impl Protocol for GreedyCrt {
             Action::Continue
         } else {
             // Removal round.
-            let removed: Vec<Port> =
-                inbox.iter().filter(|m| m.msg == GreedyMsg::Removed).map(|m| m.port).collect();
-            self.alive.retain(|&(p, _, _)| !removed.contains(&p));
+            self.alive.retain(|&(p, _, _)| !sent(inbox, p, GreedyMsg::Removed));
             if self.eliminated_now {
                 return Action::Terminate;
             }

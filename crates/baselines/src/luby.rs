@@ -1,5 +1,6 @@
 //! Luby's classical MIS algorithm, in both standard variants.
 
+use crate::runner::sent;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use sleepy_graph::{NodeId, Port};
@@ -89,13 +90,11 @@ impl Protocol for LubyB {
     fn receive(&mut self, ctx: &NodeCtx, inbox: &[Incoming<LubyBMsg>]) -> Action {
         match ctx.round % 3 {
             0 => {
-                self.heard = inbox
-                    .iter()
-                    .filter_map(|m| match m.msg {
-                        LubyBMsg::Propose { priority, id } => Some((priority, id)),
-                        _ => None,
-                    })
-                    .collect();
+                self.heard.clear();
+                self.heard.extend(inbox.iter().filter_map(|m| match m.msg {
+                    LubyBMsg::Propose { priority, id } => Some((priority, id)),
+                    _ => None,
+                }));
                 Action::Continue
             }
             1 => {
@@ -246,10 +245,8 @@ impl Protocol for LubyA {
                 if self.announced_join {
                     return Action::Terminate;
                 }
-                let joined: Vec<Port> =
-                    inbox.iter().filter(|m| m.msg == LubyAMsg::Join).map(|m| m.port).collect();
-                if !joined.is_empty() {
-                    self.alive.retain(|p| !joined.contains(p));
+                if inbox.iter().any(|m| m.msg == LubyAMsg::Join) {
+                    self.alive.retain(|&p| !sent(inbox, p, LubyAMsg::Join));
                     debug_assert!(self.in_mis.is_none());
                     self.in_mis = Some(false);
                     self.eliminated_now = true;
@@ -257,9 +254,7 @@ impl Protocol for LubyA {
                 Action::Continue
             }
             _ => {
-                let removed: Vec<Port> =
-                    inbox.iter().filter(|m| m.msg == LubyAMsg::Removed).map(|m| m.port).collect();
-                self.alive.retain(|p| !removed.contains(p));
+                self.alive.retain(|&p| !sent(inbox, p, LubyAMsg::Removed));
                 if self.eliminated_now {
                     return Action::Terminate;
                 }

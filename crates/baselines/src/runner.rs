@@ -2,10 +2,10 @@
 
 use crate::{Ghaffari, GreedyCrt, LubyA, LubyB};
 use serde::{Deserialize, Serialize};
-use sleepy_graph::{Graph, NodeId};
+use sleepy_graph::{Graph, NodeId, Port};
 use sleepy_net::{
-    run_protocol_taped, run_protocol_with_sink, EngineConfig, EngineError, NullSink, RunMetrics,
-    Tape, TraceSink,
+    run_protocol_taped, run_protocol_with_sink, EngineConfig, EngineError, Incoming, NullSink,
+    RunMetrics, Tape, TraceSink,
 };
 
 /// Which baseline MIS algorithm to run.
@@ -47,6 +47,11 @@ pub(crate) fn mix_seed(master: u64, node: NodeId) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)
+}
+
+/// Whether the neighbor on `port` sent `msg` this round.
+pub(crate) fn sent<M: PartialEq>(inbox: &[Incoming<M>], port: Port, msg: M) -> bool {
+    inbox.iter().any(|m| m.port == port && m.msg == msg)
 }
 
 /// Runs the chosen baseline on `graph` with the given master seed.

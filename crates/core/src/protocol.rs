@@ -142,20 +142,8 @@ impl PreparedMis {
     }
 }
 
-/// Greedy base-case sub-state (Algorithm 2).
-#[derive(Debug, Clone)]
-struct GreedyData {
-    sub: GreedySub,
-    iteration: u32,
-    /// Alive base-subgraph neighbors: (port, rank, id).
-    alive: Vec<(Port, u64, NodeId)>,
-    /// Set during the send phase of a join round when this node joins.
-    announced_join: bool,
-    /// Set when eliminated at a join round; cleared after announcing
-    /// `GreedyRemoved` the following round.
-    eliminated_now: bool,
-}
-
+/// Where a node is within a greedy base-case window (Algorithm 2): the
+/// rank exchange, then a join and a removal round per iteration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum GreedySub {
     /// Rank-exchange round (the base window's first round).
@@ -166,8 +154,21 @@ enum GreedySub {
     Removal,
 }
 
+impl GreedySub {
+    /// The sub-round at round `now` of a window that began at `start`. A
+    /// participant stays awake from the window's first round until it
+    /// leaves, so the offset alone says where it is.
+    fn at(start: Round, now: Round) -> Self {
+        match now - start {
+            0 => GreedySub::Init,
+            d if d % 2 == 1 => GreedySub::Join,
+            _ => GreedySub::Removal,
+        }
+    }
+}
+
 /// Phase of a recursion frame.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Stage {
     /// Next obligation: the call's first-isolated-detection round.
     FirstIso,
@@ -175,33 +176,49 @@ enum Stage {
     Sync,
     /// Next obligation: the call's second-iso round.
     SecondIso,
-    /// Base-case greedy window (Algorithm 2 only).
-    Greedy(GreedyData),
+    /// Base-case greedy window (Algorithm 2 only); see [`GreedySub`].
+    Greedy,
 }
 
 /// One recursion call the node participates in.
-#[derive(Debug, Clone)]
+///
+/// The call's ports live on the node's port stack as `ports[lo..hi]`,
+/// pushed when the call's first round runs and truncated back to `lo`
+/// when the frame pops; until then the range is empty.
+///
+/// - A recursion frame holds the ports to the neighbors participating in
+///   the call (learned at first-iso), ascending.
+/// - A greedy frame holds its alive base-subgraph neighbors, ascending,
+///   and above `hi`, up to the end of the stack, those of them whose
+///   greedy key beats this node's: it wins a join round when none is
+///   left. A greedy frame is always on top, so no other frame's ports
+///   sit above it.
+#[derive(Debug, Clone, Copy)]
 struct Frame {
     k: u32,
     start: Round,
     /// Whether this call is the left recursion of its parent.
     is_left: bool,
     stage: Stage,
-    /// Ports to neighbors participating in this call (learned at
-    /// first-iso), ascending.
-    u_ports: Vec<Port>,
+    lo: usize,
+    hi: usize,
 }
 
 /// Per-node protocol state for SleepingMIS / Fast-SleepingMIS.
 ///
 /// Construct via [`SleepingMisProtocol::new`] and run with
-/// [`run_sleeping_mis`] (or [`sleepy_net::run_protocol`] directly).
+/// [`run_sleeping_mis`] (or [`sleepy_net::run_protocol`] directly). A
+/// node holds a borrow of the run's [`PreparedMis`], its coins, a stack
+/// of the recursion calls it is in, and one port stack that those calls
+/// share (see `Frame`), so a node-round touches the node, its top frame
+/// and that frame's ports, and no per-call allocation.
 #[derive(Debug, Clone)]
 pub struct SleepingMisProtocol<'p> {
     prepared: &'p PreparedMis,
     coins: NodeRandomness,
     status: MisStatus,
     stack: Vec<Frame>,
+    ports: Vec<Port>,
     /// Set when K = 0 under Algorithm 1 (the node joins the MIS before any
     /// communication and terminates at round 0).
     terminate_immediately: bool,
@@ -218,51 +235,30 @@ impl<'p> SleepingMisProtocol<'p> {
     /// borrow, so per-node memory does not grow with the schedule.
     pub fn new(id: NodeId, prepared: &'p PreparedMis) -> Self {
         let coins = NodeRandomness::derive(prepared.config.seed, id);
-        let depth = prepared.depth;
         let mut p = SleepingMisProtocol {
             prepared,
             coins,
             status: MisStatus::Unknown,
             stack: Vec::new(),
+            ports: Vec::new(),
             terminate_immediately: false,
             base_timeout: false,
             done: false,
         };
         // Root call starting at round 0.
-        if depth == 0 {
-            match p.prepared.config.variant {
-                Variant::SleepingMis => {
-                    // Base case at the root: join immediately; terminate at
-                    // round 0 (one awake round for the handshake with the
-                    // engine).
-                    p.status = MisStatus::In;
-                    p.terminate_immediately = true;
-                }
-                Variant::FastSleepingMis => {
-                    p.stack.push(Frame {
-                        k: 0,
-                        start: 0,
-                        is_left: false,
-                        stage: Stage::Greedy(GreedyData {
-                            sub: GreedySub::Init,
-                            iteration: 0,
-                            alive: Vec::new(),
-                            announced_join: false,
-                            eliminated_now: false,
-                        }),
-                        u_ports: Vec::new(),
-                    });
-                }
+        let stage = match (prepared.depth, prepared.config.variant) {
+            (0, Variant::SleepingMis) => {
+                // Base case at the root: join immediately; terminate at
+                // round 0 (one awake round for the handshake with the
+                // engine).
+                p.status = MisStatus::In;
+                p.terminate_immediately = true;
+                return p;
             }
-        } else {
-            p.stack.push(Frame {
-                k: depth,
-                start: 0,
-                is_left: false,
-                stage: Stage::FirstIso,
-                u_ports: Vec::new(),
-            });
-        }
+            (0, Variant::FastSleepingMis) => Stage::Greedy,
+            _ => Stage::FirstIso,
+        };
+        p.push_frame(prepared.depth, 0, false, stage);
         p
     }
 
@@ -282,6 +278,19 @@ impl<'p> SleepingMisProtocol<'p> {
         }
     }
 
+    /// Pushes a frame whose ports are not known yet.
+    fn push_frame(&mut self, k: u32, start: Round, is_left: bool, stage: Stage) {
+        let top = self.ports.len();
+        self.stack.push(Frame { k, start, is_left, stage, lo: top, hi: top });
+    }
+
+    /// Pops the top frame and its ports.
+    fn pop_frame(&mut self) -> Frame {
+        let frame = self.stack.pop().expect("pop_frame requires a frame");
+        self.ports.truncate(frame.lo);
+        frame
+    }
+
     /// Enter a child call at level `k` starting at round `start`
     /// (= `now` + 1). Handles Algorithm 1's zero-duration base case inline.
     fn descend(&mut self, k: u32, start: Round, is_left: bool, now: Round) -> Action {
@@ -292,24 +301,14 @@ impl<'p> SleepingMisProtocol<'p> {
             self.status = MisStatus::In;
             return self.return_after_child(is_left, now);
         }
-        let stage = if k == 0 {
-            Stage::Greedy(GreedyData {
-                sub: GreedySub::Init,
-                iteration: 0,
-                alive: Vec::new(),
-                announced_join: false,
-                eliminated_now: false,
-            })
-        } else {
-            Stage::FirstIso
-        };
-        self.stack.push(Frame { k, start, is_left, stage, u_ports: Vec::new() });
+        let stage = if k == 0 { Stage::Greedy } else { Stage::FirstIso };
+        self.push_frame(k, start, is_left, stage);
         self.goto(start, now)
     }
 
     /// Pop the top frame (its window is over for this node) and cascade.
     fn return_from(&mut self, now: Round) -> Action {
-        let frame = self.stack.pop().expect("return_from requires a frame");
+        let frame = self.pop_frame();
         self.return_after_child(frame.is_left, now)
     }
 
@@ -319,27 +318,117 @@ impl<'p> SleepingMisProtocol<'p> {
     /// empty stack means the node is done.
     fn return_after_child(&mut self, mut child_was_left: bool, now: Round) -> Action {
         loop {
-            let Some(parent) = self.stack.last_mut() else {
+            let Some(parent) = self.stack.last() else {
                 self.done = true;
                 debug_assert_ne!(self.status, MisStatus::Unknown);
                 return Action::Terminate;
             };
             if child_was_left {
-                debug_assert!(matches!(parent.stage, Stage::Sync));
+                debug_assert_eq!(parent.stage, Stage::Sync);
                 let sync = parent.start + 1 + self.prepared.t(parent.k - 1);
                 return self.goto(sync, now);
             }
             // Right child: the parent window ends with it; pop and continue.
-            let parent = self.stack.pop().expect("parent frame exists");
-            child_was_left = parent.is_left;
+            child_was_left = self.pop_frame().is_left;
         }
     }
 
-    /// Whether this node currently wins the greedy join test: its key is
-    /// strictly larger than every alive base-subgraph neighbor's key.
-    fn greedy_wins(&self, id: NodeId, alive: &[(Port, u64, NodeId)]) -> bool {
-        let mine = greedy_key(self.coins.greedy_rank, id);
-        alive.iter().all(|&(_, r, i)| mine > greedy_key(r, i))
+    /// Sends `msg` to the top frame's ports under
+    /// [`SendPolicy::SubgraphOnly`], to every neighbor otherwise.
+    fn announce(&self, frame: &Frame, out: &mut Outbox<MisMsg>, msg: MisMsg) {
+        if self.prepared.config.send_policy == SendPolicy::SubgraphOnly {
+            for &p in &self.ports[frame.lo..frame.hi] {
+                out.send(p, msg);
+            }
+        } else {
+            out.broadcast(msg);
+        }
+    }
+
+    /// Drops every neighbor that sent `gone` this round from the top
+    /// (greedy) frame: from its alive ports and from the ports above them.
+    fn drop_greedy_ports(&mut self, inbox: &[Incoming<MisMsg>], gone: MisMsg) {
+        let top = self.stack.last_mut().expect("a greedy frame is on top");
+        let sent = |p: Port| inbox.iter().any(|m| m.port == p && m.msg == gone);
+        let mut kept = top.lo;
+        for i in top.lo..top.hi {
+            let p = self.ports[i];
+            if !sent(p) {
+                self.ports[kept] = p;
+                kept += 1;
+            }
+        }
+        let alive_end = kept;
+        for i in top.hi..self.ports.len() {
+            let p = self.ports[i];
+            if !sent(p) {
+                self.ports[kept] = p;
+                kept += 1;
+            }
+        }
+        top.hi = alive_end;
+        self.ports.truncate(kept);
+    }
+
+    /// One round of the greedy base case (Algorithm 2, line 10).
+    fn greedy_receive(
+        &mut self,
+        ctx: &NodeCtx,
+        frame: Frame,
+        inbox: &[Incoming<MisMsg>],
+    ) -> Action {
+        let now = ctx.round;
+        match GreedySub::at(frame.start, now) {
+            GreedySub::Init => {
+                let mine = greedy_key(self.coins.greedy_rank, ctx.id);
+                let hellos = || {
+                    inbox.iter().filter_map(|m| match m.msg {
+                        MisMsg::GreedyHello { rank, id } => Some((m.port, greedy_key(rank, id))),
+                        _ => None,
+                    })
+                };
+                debug_assert_eq!(frame.lo, self.ports.len());
+                self.ports.extend(hellos().map(|(p, _)| p));
+                self.ports[frame.lo..].sort_unstable();
+                let hi = self.ports.len();
+                self.ports.extend(hellos().filter(|&(_, key)| key > mine).map(|(p, _)| p));
+                self.stack.last_mut().expect("greedy frame").hi = hi;
+                Action::Continue
+            }
+            GreedySub::Join => {
+                if self.status == MisStatus::In {
+                    // Joined this round (decided during `send`); leave
+                    // the window.
+                    return self.return_from(now);
+                }
+                if inbox.iter().any(|m| m.msg == MisMsg::GreedyJoin) {
+                    self.drop_greedy_ports(inbox, MisMsg::GreedyJoin);
+                    debug_assert_eq!(self.status, MisStatus::Unknown);
+                    self.status = MisStatus::Out;
+                }
+                Action::Continue
+            }
+            GreedySub::Removal => {
+                self.drop_greedy_ports(inbox, MisMsg::GreedyRemoved);
+                if self.status == MisStatus::Out {
+                    // Eliminated last round and announced it this round;
+                    // leave.
+                    return self.return_from(now);
+                }
+                let iterations = (now - frame.start) / 2;
+                if iterations >= self.prepared.max_iterations as u64 {
+                    // Round budget exhausted (Monte-Carlo failure):
+                    // default to not-in-MIS.
+                    debug_assert_eq!(now, frame.start + 2 * self.prepared.max_iterations as u64);
+                    if self.status == MisStatus::Unknown {
+                        self.status = MisStatus::Out;
+                        self.base_timeout = true;
+                    }
+                    return self.return_from(now);
+                }
+                Action::Continue
+            }
+        }
     }
 }
 
@@ -351,54 +440,27 @@ impl Protocol for SleepingMisProtocol<'_> {
         if self.terminate_immediately {
             return;
         }
-        let status = self.status;
-        let wins = match self.stack.last() {
-            Some(Frame { stage: Stage::Greedy(g), .. })
-                if g.sub == GreedySub::Join && status == MisStatus::Unknown =>
-            {
-                self.greedy_wins(ctx.id, &g.alive)
-            }
-            _ => false,
-        };
-        let subgraph_only = self.prepared.config.send_policy == SendPolicy::SubgraphOnly;
-        let Some(frame) = self.stack.last_mut() else { return };
-        match &mut frame.stage {
+        let Some(&frame) = self.stack.last() else { return };
+        match frame.stage {
             Stage::FirstIso => out.broadcast(MisMsg::Hello),
             Stage::Sync | Stage::SecondIso => {
-                if subgraph_only {
-                    for &p in &frame.u_ports {
-                        out.send(p, MisMsg::Status(status));
-                    }
-                } else {
-                    out.broadcast(MisMsg::Status(status));
-                }
+                self.announce(&frame, out, MisMsg::Status(self.status));
             }
-            Stage::Greedy(g) => match g.sub {
+            Stage::Greedy => match GreedySub::at(frame.start, ctx.round) {
                 GreedySub::Init => {
                     out.broadcast(MisMsg::GreedyHello { rank: self.coins.greedy_rank, id: ctx.id })
                 }
                 GreedySub::Join => {
-                    if wins {
+                    // No alive neighbor's key beats this node's.
+                    if self.status == MisStatus::Unknown && self.ports.len() == frame.hi {
                         self.status = MisStatus::In;
-                        g.announced_join = true;
-                        if subgraph_only {
-                            for &(p, _, _) in &g.alive {
-                                out.send(p, MisMsg::GreedyJoin);
-                            }
-                        } else {
-                            out.broadcast(MisMsg::GreedyJoin);
-                        }
+                        self.announce(&frame, out, MisMsg::GreedyJoin);
                     }
                 }
                 GreedySub::Removal => {
-                    if g.eliminated_now {
-                        if subgraph_only {
-                            for &(p, _, _) in &g.alive {
-                                out.send(p, MisMsg::GreedyRemoved);
-                            }
-                        } else {
-                            out.broadcast(MisMsg::GreedyRemoved);
-                        }
+                    // Eliminated at the join round just before.
+                    if self.status == MisStatus::Out {
+                        self.announce(&frame, out, MisMsg::GreedyRemoved);
                     }
                 }
             },
@@ -412,33 +474,22 @@ impl Protocol for SleepingMisProtocol<'_> {
         }
         debug_assert!(!self.done, "received after termination");
         let now = ctx.round;
-        let frame_idx = self.stack.len() - 1;
-        // Work on the top frame by index to satisfy the borrow checker
-        // while calling helper methods.
-        let (k, start) = {
-            let f = &self.stack[frame_idx];
-            (f.k, f.start)
-        };
-        let stage_kind = match &self.stack[frame_idx].stage {
-            Stage::FirstIso => 0,
-            Stage::Sync => 1,
-            Stage::SecondIso => 2,
-            Stage::Greedy(_) => 3,
-        };
-        match stage_kind {
+        let frame = *self.stack.last().expect("an unfinished node has a frame");
+        let k = frame.k;
+        match frame.stage {
             // --- First isolated-node detection (lines 13-16) ---
-            0 => {
-                debug_assert_eq!(now, start);
-                let mut u_ports: Vec<Port> =
-                    inbox.iter().filter(|m| m.msg == MisMsg::Hello).map(|m| m.port).collect();
-                u_ports.sort_unstable();
-                if u_ports.is_empty() {
+            Stage::FirstIso => {
+                debug_assert_eq!(now, frame.start);
+                debug_assert_eq!(frame.lo, self.ports.len());
+                self.ports.extend(inbox.iter().filter(|m| m.msg == MisMsg::Hello).map(|m| m.port));
+                self.ports[frame.lo..].sort_unstable();
+                if self.ports.len() == frame.lo {
                     self.status = MisStatus::In; // isolated in G[U]
                 }
-                let t_child = self.prepared.t(k - 1);
-                let sync = start + 1 + t_child;
-                self.stack[frame_idx].u_ports = u_ports;
-                self.stack[frame_idx].stage = Stage::Sync;
+                let top = self.stack.last_mut().expect("frame");
+                top.hi = self.ports.len();
+                top.stage = Stage::Sync;
+                let sync = frame.start + 1 + self.prepared.t(k - 1);
                 if self.status == MisStatus::Unknown && self.x(k) {
                     // Left recursion (lines 17-18).
                     self.descend(k - 1, now + 1, true, now)
@@ -448,36 +499,36 @@ impl Protocol for SleepingMisProtocol<'_> {
                 }
             }
             // --- Synchronization / elimination (lines 22-25) ---
-            1 => {
+            Stage::Sync => {
                 if self.status == MisStatus::Unknown {
-                    let f = &self.stack[frame_idx];
+                    let u_ports = &self.ports[frame.lo..frame.hi];
                     let eliminated = inbox.iter().any(|m| {
                         m.msg == MisMsg::Status(MisStatus::In)
-                            && f.u_ports.binary_search(&m.port).is_ok()
+                            && u_ports.binary_search(&m.port).is_ok()
                     });
                     if eliminated {
                         self.status = MisStatus::Out;
                     }
                 }
-                self.stack[frame_idx].stage = Stage::SecondIso;
+                self.stack.last_mut().expect("frame").stage = Stage::SecondIso;
                 Action::Continue // second-iso is always the next round
             }
             // --- Second isolated-node detection (lines 26-29) ---
-            2 => {
+            Stage::SecondIso => {
                 if self.status == MisStatus::Unknown {
-                    let f = &self.stack[frame_idx];
+                    let u_ports = &self.ports[frame.lo..frame.hi];
                     let falses = inbox
                         .iter()
                         .filter(|m| {
                             m.msg == MisMsg::Status(MisStatus::Out)
-                                && f.u_ports.binary_search(&m.port).is_ok()
+                                && u_ports.binary_search(&m.port).is_ok()
                         })
                         .count();
                     debug_assert!(
-                        !f.u_ports.is_empty(),
+                        !u_ports.is_empty(),
                         "an undecided node cannot be isolated at second-iso"
                     );
-                    if falses == f.u_ports.len() {
+                    if falses == u_ports.len() {
                         self.status = MisStatus::In;
                     }
                 }
@@ -491,74 +542,7 @@ impl Protocol for SleepingMisProtocol<'_> {
                 }
             }
             // --- Greedy base case (Algorithm 2, line 10) ---
-            _ => {
-                let budget_end = start + 2 * self.prepared.max_iterations as u64;
-                let Stage::Greedy(g) = &mut self.stack[frame_idx].stage else { unreachable!() };
-                match g.sub {
-                    GreedySub::Init => {
-                        debug_assert_eq!(now, start);
-                        let mut alive: Vec<(Port, u64, NodeId)> = inbox
-                            .iter()
-                            .filter_map(|m| match m.msg {
-                                MisMsg::GreedyHello { rank, id } => Some((m.port, rank, id)),
-                                _ => None,
-                            })
-                            .collect();
-                        alive.sort_unstable();
-                        let ports: Vec<Port> = alive.iter().map(|&(p, _, _)| p).collect();
-                        g.alive = alive;
-                        g.sub = GreedySub::Join;
-                        self.stack[frame_idx].u_ports = ports;
-                        Action::Continue
-                    }
-                    GreedySub::Join => {
-                        if g.announced_join {
-                            // Joined this round (decided during `send`);
-                            // leave the window.
-                            debug_assert_eq!(self.status, MisStatus::In);
-                            return self.return_from(now);
-                        }
-                        let joined_ports: Vec<Port> = inbox
-                            .iter()
-                            .filter(|m| m.msg == MisMsg::GreedyJoin)
-                            .map(|m| m.port)
-                            .collect();
-                        if !joined_ports.is_empty() {
-                            g.alive.retain(|&(p, _, _)| !joined_ports.contains(&p));
-                            debug_assert_eq!(self.status, MisStatus::Unknown);
-                            self.status = MisStatus::Out;
-                            g.eliminated_now = true;
-                        }
-                        g.sub = GreedySub::Removal;
-                        Action::Continue
-                    }
-                    GreedySub::Removal => {
-                        let removed: Vec<Port> = inbox
-                            .iter()
-                            .filter(|m| m.msg == MisMsg::GreedyRemoved)
-                            .map(|m| m.port)
-                            .collect();
-                        g.alive.retain(|&(p, _, _)| !removed.contains(&p));
-                        if g.eliminated_now {
-                            // Announced our removal this round; leave.
-                            return self.return_from(now);
-                        }
-                        g.iteration += 1;
-                        if g.iteration >= self.prepared.max_iterations {
-                            // Round budget exhausted (Monte-Carlo failure):
-                            // default to not-in-MIS.
-                            debug_assert_eq!(now, budget_end);
-                            if self.status == MisStatus::Unknown {
-                                self.status = MisStatus::Out;
-                                self.base_timeout = true;
-                            }
-                            return self.return_from(now);
-                        }
-                        g.sub = GreedySub::Join;
-                        Action::Continue
-                    }
-                }
-            }
+            Stage::Greedy => self.greedy_receive(ctx, frame, inbox),
         }
     }
 

@@ -132,8 +132,20 @@ impl Graph {
     /// Panics if `v >= n`.
     #[inline]
     pub fn neighbors(&self, v: NodeId) -> &[NodeId] {
+        &self.adj[self.adj_range(v)]
+    }
+
+    /// Where `v`'s neighbor list sits in the concatenated adjacency
+    /// (`0..2m`, node-major): port `p` of `v` is entry `start + p`. An
+    /// array with one entry per directed edge can use the same layout.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `v >= n`.
+    #[inline]
+    pub fn adj_range(&self, v: NodeId) -> std::ops::Range<usize> {
         let v = v as usize;
-        &self.adj[self.offsets[v]..self.offsets[v + 1]]
+        self.offsets[v]..self.offsets[v + 1]
     }
 
     /// The neighbor reached through port `p` of node `v`.

@@ -5,12 +5,18 @@
 //! functions here are thin drivers: they run protocol callbacks whenever
 //! the state machine asks ([`EngineOutput::PollSend`] /
 //! [`EngineOutput::PollReceive`]), copy delivered payloads from the
-//! sender's [`Outbox`] into inboxes, and forward trace outputs into the
-//! caller's sink. Unless it records a tape, the driver allocates
-//! nothing in steady state: the outbox, the inboxes, the `Sends`
-//! message list and the engine's output queue all keep their capacity
-//! from round to round. The
-//! pre-refactor monolithic loop survives as
+//! sender's [`Outbox`] into an inbox arena laid out like the graph's
+//! adjacency, and forward trace outputs into the caller's sink.
+//!
+//! Unless it records a tape, a run allocates its fixed buffers up front
+//! (the arena at the first delivery). After that it allocates only when
+//! a reused buffer reaches a new high-water mark (the outbox, the `Sends`
+//! list, the engine's output queue, timer-wheel buckets and id lists,
+//! and the per-node `Vec` of an inbox that outgrows its arena slots), in
+//! the timer wheel's `BTreeMap` overflow once per new far-future wake
+//! round, and inside the protocols for their own state.
+//!
+//! The pre-refactor monolithic loop survives as
 //! [`run_protocol_with_sink_legacy`] — a differential oracle the test
 //! suite holds the state machine byte-identical to.
 
@@ -158,11 +164,79 @@ where
     (result, recorder.finish(error))
 }
 
+/// The driver's inboxes, one arena laid out like the graph's adjacency.
+///
+/// While node `v` has received at most `degree(v)` messages this round,
+/// its inbox is `slots[start .. start + len[v]]` for `start =
+/// graph.adj_range(v).start`. The next message spills the inbox into
+/// `spill[v]`, in order, and the rest of the round appends there. The
+/// engine polls receivers in ascending id order, so the receive phase
+/// reads the arena front to back.
+struct Inboxes<'g, M> {
+    graph: &'g Graph,
+    /// One slot per directed edge. Empty until the run's first delivery,
+    /// which fills every slot with a clone of that message; from then on
+    /// a delivery overwrites a slot, a slot keeps its payload until the
+    /// next one, and `receive` reads the slots in place.
+    slots: Vec<Incoming<M>>,
+    /// Messages delivered to each node this round.
+    len: Vec<usize>,
+    /// Per-node overflow; empty until some node first spills.
+    spill: Vec<Vec<Incoming<M>>>,
+}
+
+impl<'g, M: Clone> Inboxes<'g, M> {
+    fn new(graph: &'g Graph) -> Self {
+        Inboxes { graph, slots: Vec::new(), len: vec![0; graph.n()], spill: Vec::new() }
+    }
+
+    /// Appends `message` to `to`'s inbox.
+    fn push(&mut self, to: NodeId, message: Incoming<M>) {
+        let v = to as usize;
+        let range = self.graph.adj_range(to);
+        let len = self.len[v];
+        self.len[v] = len + 1;
+        if len < range.len() {
+            if self.slots.is_empty() {
+                self.slots = vec![message.clone(); 2 * self.graph.m()];
+            }
+            self.slots[range.start + len] = message;
+            return;
+        }
+        if self.spill.is_empty() {
+            self.spill.resize_with(self.graph.n(), Vec::new);
+        }
+        let spill = &mut self.spill[v];
+        if len == range.len() {
+            spill.extend_from_slice(&self.slots[range]);
+        }
+        spill.push(message);
+    }
+
+    /// `v`'s inbox this round, in delivery order.
+    fn get(&self, v: NodeId) -> &[Incoming<M>] {
+        let range = self.graph.adj_range(v);
+        match self.len[v as usize] {
+            0 => &[],
+            len if len <= range.len() => &self.slots[range.start..range.start + len],
+            _ => &self.spill[v as usize],
+        }
+    }
+
+    /// Empties `v`'s inbox; its slots are overwritten next round.
+    fn clear(&mut self, v: NodeId) {
+        if self.len[v as usize] > self.graph.degree(v) {
+            self.spill[v as usize].clear();
+        }
+        self.len[v as usize] = 0;
+    }
+}
+
 /// The shared driver: builds the protocol instances, then serves the
 /// [`SleepyEngine`]'s output stream — poll prompts run protocol
-/// callbacks, `Deliver` outputs copy payloads into inboxes, trace
-/// outputs feed the sink (and everything feeds the tape recorder when
-/// present).
+/// callbacks, `Deliver` outputs copy payloads into the [`Inboxes`]
+/// arena, trace outputs feed the sink (and everything feeds the tape
+/// recorder when present).
 fn drive<P, F, S>(
     graph: &Graph,
     config: &EngineConfig,
@@ -187,7 +261,7 @@ where
     // sender's messages; `Deliver` outputs index into its payloads (they
     // are always drained before the next `PollSend` refills it).
     let mut outbox: Outbox<P::Msg> = Outbox::new();
-    let mut inboxes: Vec<Vec<Incoming<P::Msg>>> = (0..n).map(|_| Vec::new()).collect();
+    let mut inboxes: Inboxes<P::Msg> = Inboxes::new(graph);
 
     let mut failure: Option<EngineError> = None;
     while let Some(out) = sm.poll_output() {
@@ -198,7 +272,7 @@ where
             EngineOutput::RoundBegin { round, awake } => sink.round_begin(round, awake as usize),
             EngineOutput::Event(e) => sink.event(&e),
             EngineOutput::Deliver { to, port, from: _, index } => {
-                inboxes[to as usize].push(Incoming { port, msg: outbox.payload(index).clone() });
+                inboxes.push(to, Incoming { port, msg: outbox.payload(index).clone() });
             }
             EngineOutput::PollSend { node, round } => {
                 debug_assert!(failure.is_none(), "no prompt survives a failed input");
@@ -224,10 +298,10 @@ where
             EngineOutput::PollReceive { node, round } => {
                 debug_assert!(failure.is_none(), "no prompt survives a failed input");
                 let ctx = NodeCtx { id: node, n, degree: graph.degree(node), round };
-                let action = nodes[node as usize].receive(&ctx, &inboxes[node as usize]);
+                let action = nodes[node as usize].receive(&ctx, inboxes.get(node));
                 // The send phase completed before the first receive of the
                 // round, so this inbox is final and can be recycled now.
-                inboxes[node as usize].clear();
+                inboxes.clear(node);
                 let output_some = nodes[node as usize].output().is_some();
                 let input = EngineInput::Step { node, action, output_some };
                 if let Some(t) = tap.as_deref_mut() {
@@ -435,8 +509,16 @@ where
 
 /// Merges two ascending id lists into one (both deduplicated by
 /// construction: a node cannot be both carried over and woken).
-pub(crate) fn merge_sorted(a: &[NodeId], b: &[NodeId]) -> Vec<NodeId> {
+fn merge_sorted(a: &[NodeId], b: &[NodeId]) -> Vec<NodeId> {
     let mut out = Vec::with_capacity(a.len() + b.len());
+    merge_sorted_into(a, b, &mut out);
+    out
+}
+
+/// [`merge_sorted`] into `out`, replacing its contents and keeping its
+/// capacity.
+pub(crate) fn merge_sorted_into(a: &[NodeId], b: &[NodeId], out: &mut Vec<NodeId>) {
+    out.clear();
     let (mut i, mut j) = (0, 0);
     while i < a.len() && j < b.len() {
         if a[i] < b[j] {
@@ -449,7 +531,6 @@ pub(crate) fn merge_sorted(a: &[NodeId], b: &[NodeId]) -> Vec<NodeId> {
     }
     out.extend_from_slice(&a[i..]);
     out.extend_from_slice(&b[j..]);
-    out
 }
 
 #[cfg(test)]
@@ -955,6 +1036,123 @@ mod tests {
         assert_eq!(merge_sorted(&[1, 4, 6], &[2, 3, 7]), vec![1, 2, 3, 4, 6, 7]);
         assert_eq!(merge_sorted(&[], &[2]), vec![2]);
         assert_eq!(merge_sorted(&[5], &[]), vec![5]);
+        let mut out = vec![9, 9, 9, 9, 9];
+        merge_sorted_into(&[0, 8], &[3], &mut out);
+        assert_eq!(out, vec![0, 3, 8], "replaces what was there");
+    }
+
+    /// A payload naming its sender, round and place in the sender's
+    /// queue on that port.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    struct Tag {
+        from: NodeId,
+        round: Round,
+        seq: u32,
+    }
+
+    impl crate::message::MessageSize for Tag {
+        fn bits(&self) -> usize {
+            64
+        }
+    }
+
+    /// Never sleeps. Each round it queues `plan(id, round)` tagged
+    /// messages on every port, logs its inbox, and terminates at round
+    /// `end`.
+    #[derive(Clone)]
+    struct Scripted {
+        id: NodeId,
+        end: Round,
+        plan: fn(NodeId, Round) -> u32,
+        log: Vec<(Round, Port, Tag)>,
+    }
+
+    impl Protocol for Scripted {
+        type Msg = Tag;
+        type Output = Vec<(Round, Port, Tag)>;
+        fn send(&mut self, ctx: &NodeCtx, out: &mut Outbox<Tag>) {
+            for port in 0..ctx.degree {
+                for seq in 0..(self.plan)(self.id, ctx.round) {
+                    out.send(port, Tag { from: self.id, round: ctx.round, seq });
+                }
+            }
+        }
+        fn receive(&mut self, ctx: &NodeCtx, inbox: &[Incoming<Tag>]) -> Action {
+            self.log.extend(inbox.iter().map(|m| (ctx.round, m.port, m.msg)));
+            if ctx.round == self.end {
+                Action::Terminate
+            } else {
+                Action::Continue
+            }
+        }
+        fn output(&self) -> Option<Self::Output> {
+            Some(self.log.clone())
+        }
+    }
+
+    /// Runs [`Scripted`] and checks every node's log against the inbox
+    /// order the engine documents (neighbors ascending, each one's
+    /// messages in queue order, under the receiver's port) and against
+    /// the legacy loop's plain per-node `Vec` inboxes.
+    fn assert_scripted_inboxes(g: &Graph, end: Round, plan: fn(NodeId, Round) -> u32) {
+        let factory = |id, _: &NodeCtx| Scripted { id, end, plan, log: Vec::new() };
+        let cfg = EngineConfig::default();
+        let run = run_protocol(g, &cfg, factory).unwrap();
+        let legacy = run_protocol_with_sink_legacy(g, &cfg, factory, &mut NullSink).unwrap();
+        assert_eq!(run.outputs, legacy.outputs);
+        assert_eq!(run.metrics, legacy.metrics);
+        for v in g.node_ids() {
+            let mut expected = Vec::new();
+            for round in 0..=end {
+                for (port, &u) in g.neighbors(v).iter().enumerate() {
+                    for seq in 0..plan(u, round) {
+                        expected.push((round, port, Tag { from: u, round, seq }));
+                    }
+                }
+            }
+            assert_eq!(run.outputs[v as usize].as_ref().unwrap(), &expected, "node {v}");
+        }
+    }
+
+    /// The hub of a star gets more messages than it has ports, then
+    /// exactly as many, then fewer, then more again: its inbox spills,
+    /// goes back to the arena, and spills again, always in order. The
+    /// leaves (degree 1) spill in round 0 as well.
+    #[test]
+    fn inbox_spills_past_degree_and_returns_to_the_arena() {
+        let g = generators::star(4).unwrap();
+        assert_eq!(g.degree(0), 3);
+        assert_scripted_inboxes(&g, 4, |v, round| match (v, round) {
+            (0, 0) => 2,
+            (0, 2) => 1,
+            (_, 0) => 2,
+            (_, 1) => 1,
+            (1, 2) => 1,
+            (2, 3) => 4,
+            _ => 0,
+        });
+    }
+
+    /// Isolated nodes, first, last and in between, get empty inboxes
+    /// whether or not the arena has been filled yet.
+    #[test]
+    fn degree_zero_nodes_get_empty_inboxes() {
+        let g = Graph::from_edges(6, [(1, 3), (3, 4)]).unwrap();
+        assert_scripted_inboxes(&g, 2, |_, round| u32::from(round > 0));
+        let edgeless = generators::empty(3).unwrap();
+        assert_scripted_inboxes(&edgeless, 2, |_, _| 1);
+    }
+
+    /// No message moves until round 7, so every inbox before that is
+    /// empty and the arena is first filled late in the run.
+    #[test]
+    fn first_delivery_late_in_the_run() {
+        let g = generators::gnp(30, 0.2, 4).unwrap();
+        assert_scripted_inboxes(&g, 9, |v, round| match round {
+            7 => 1 + v % 2,
+            8 => 1,
+            _ => 0,
+        });
     }
 
     use sleepy_graph::Graph;

@@ -3,9 +3,10 @@
 //! no I/O, and no clocks inside.
 //!
 //! [`SleepyEngine`] owns everything the round loop used to own inline —
-//! node statuses, the wake-alarm [`TimerWheel`], per-node metrics, the
-//! fault process, CONGEST budget enforcement, and trace-event generation
-//! — while the *protocol instances* stay outside, behind a driver (see
+//! node statuses, the wake-alarm [`TimerWheel`], the per-node counters
+//! behind [`NodeMetrics`], the fault process, CONGEST budget enforcement,
+//! and trace-event generation — while the *protocol instances* stay
+//! outside, behind a driver (see
 //! [`run_protocol_with_sink`](crate::run_protocol_with_sink)). The
 //! driver answers [`EngineOutput::PollSend`] / [`EngineOutput::PollReceive`]
 //! prompts by running one node's callback and feeding the result back
@@ -26,7 +27,7 @@
 //! interleaving to the legacy loop's byte-identical trace order.
 
 use crate::alarm::TimerWheel;
-use crate::engine::{merge_sorted, EngineConfig};
+use crate::engine::{merge_sorted_into, EngineConfig};
 use crate::error::EngineError;
 use crate::fault::FaultModel;
 use crate::metrics::{NodeMetrics, RunMetrics};
@@ -215,41 +216,76 @@ enum Phase {
     Failed,
 }
 
-/// For every directed edge, the port leading back: `of(v)[p]` is the
-/// port of `graph.endpoint(v, p)` whose edge leads to `v`, i.e.
+/// For every directed edge, the port leading back, laid out like the
+/// graph's adjacency: entry `p` of `v`'s [`Graph::adj_range`] is the port
+/// of `graph.endpoint(v, p)` whose edge leads to `v`, i.e.
 /// `graph.port_to(graph.endpoint(v, p), v)` without the binary search.
-#[derive(Debug)]
-struct TwinPorts {
-    /// `base[v]..base[v + 1]` indexes `twin` for node `v`'s ports.
-    base: Vec<usize>,
-    twin: Vec<Port>,
+/// `Graph::from_edges` caps n at `u32::MAX`, so every port fits a `u32`.
+///
+/// One O(n + m) pass over the sorted neighbor lists builds it: visiting
+/// `v` in ascending order, the k-th time `v` shows up in `u`'s list it is
+/// `u`'s k-th smallest neighbor, hence `u`'s port `k`.
+fn twin_ports(graph: &Graph) -> Vec<u32> {
+    let mut seen = vec![0u32; graph.n()];
+    let mut twin = Vec::with_capacity(2 * graph.m());
+    for v in graph.node_ids() {
+        for &u in graph.neighbors(v) {
+            twin.push(seen[u as usize]);
+            seen[u as usize] += 1;
+        }
+    }
+    twin
 }
 
-impl TwinPorts {
-    /// One O(n + m) pass over the sorted neighbor lists: visiting `v` in
-    /// ascending order, the k-th time `v` shows up in `u`'s list it is
-    /// `u`'s k-th smallest neighbor, hence `u`'s port `k`.
-    fn new(graph: &Graph) -> Self {
-        let n = graph.n();
-        let mut base = Vec::with_capacity(n + 1);
-        base.push(0);
-        for v in 0..n as NodeId {
-            base.push(base[v as usize] + graph.degree(v));
+/// The per-node counters behind [`NodeMetrics`], one array per counter,
+/// so that a delivery touches a single `u64` of the receiver's and the
+/// arrays it touches stay small enough to cache; [`SleepyEngine::finish`]
+/// assembles the records.
+#[derive(Debug)]
+struct Counters {
+    awake_rounds: Vec<u64>,
+    /// `Round::MAX` until the node's output is `Some`, and
+    /// `finish_round` likewise until it terminates. The engine never
+    /// processes round `Round::MAX` (see `SleepyEngine::begin_round`),
+    /// so no node can decide or finish in it and the sentinel is
+    /// unambiguous.
+    decide_round: Vec<Round>,
+    finish_round: Vec<Round>,
+    messages_sent: Vec<u64>,
+    bits_sent: Vec<u64>,
+    messages_received: Vec<u64>,
+    messages_dropped: Vec<u64>,
+    messages_lost: Vec<u64>,
+}
+
+impl Counters {
+    fn new(n: usize) -> Self {
+        Counters {
+            awake_rounds: vec![0; n],
+            decide_round: vec![Round::MAX; n],
+            finish_round: vec![Round::MAX; n],
+            messages_sent: vec![0; n],
+            bits_sent: vec![0; n],
+            messages_received: vec![0; n],
+            messages_dropped: vec![0; n],
+            messages_lost: vec![0; n],
         }
-        let mut seen = vec![0 as Port; n];
-        let mut twin = Vec::with_capacity(base[n]);
-        for v in 0..n as NodeId {
-            for &u in graph.neighbors(v) {
-                twin.push(seen[u as usize]);
-                seen[u as usize] += 1;
-            }
-        }
-        TwinPorts { base, twin }
     }
 
-    /// The twin of each of `v`'s ports, indexed by port.
-    fn of(&self, v: NodeId) -> &[Port] {
-        &self.twin[self.base[v as usize]..self.base[v as usize + 1]]
+    fn into_node_metrics(self) -> Vec<NodeMetrics> {
+        let round = |r: Round| (r != Round::MAX).then_some(r);
+        (0..self.awake_rounds.len())
+            .map(|v| NodeMetrics {
+                awake_rounds: self.awake_rounds[v],
+                finish_round: round(self.finish_round[v]),
+                decide_round: round(self.decide_round[v]),
+                messages_sent: self.messages_sent[v],
+                messages_received: self.messages_received[v],
+                messages_dropped: self.messages_dropped[v],
+                messages_lost: self.messages_lost[v],
+                bits_sent: self.bits_sent[v],
+            })
+            .collect()
     }
 }
 
@@ -258,19 +294,22 @@ impl TwinPorts {
 #[derive(Debug)]
 pub struct SleepyEngine<'g> {
     graph: &'g Graph,
-    twins: TwinPorts,
+    twins: Vec<u32>,
     max_rounds: Round,
     congest_bits: Option<usize>,
     fault: Option<Box<dyn FaultModel>>,
     messages: bool,
     status: Vec<Status>,
-    metrics: Vec<NodeMetrics>,
+    counters: Counters,
     /// Nodes awake in the round being processed, ascending ids.
     active: Vec<NodeId>,
     /// Nodes that chose `Continue` and carry over to the next round.
     carry: Vec<NodeId>,
     /// Scratch for the nodes woken at the start of a round.
     woken: Vec<NodeId>,
+    /// Scratch the carried-over and woken nodes merge into; it then
+    /// trades places with `active`, so no round allocates a new list.
+    merged: Vec<NodeId>,
     alarms: TimerWheel,
     /// The queued outputs; `outputs[next..]` are still pollable. The
     /// polled prefix is dropped at each [`SleepyEngine::handle_input`],
@@ -295,16 +334,17 @@ impl<'g> SleepyEngine<'g> {
         let n = graph.n();
         let mut sm = SleepyEngine {
             graph,
-            twins: TwinPorts::new(graph),
+            twins: twin_ports(graph),
             max_rounds: config.max_rounds,
             congest_bits: config.congest_bits,
             fault: config.fault.build(),
             messages,
             status: vec![Status::Awake; n],
-            metrics: vec![NodeMetrics::default(); n],
+            counters: Counters::new(n),
             active: (0..n as NodeId).collect(),
             carry: Vec::with_capacity(n),
             woken: Vec::new(),
+            merged: Vec::with_capacity(n),
             alarms: TimerWheel::new(),
             outputs: Vec::new(),
             next: 0,
@@ -351,7 +391,8 @@ impl<'g> SleepyEngine<'g> {
             self.status[v as usize] = Status::Awake;
         }
         if !self.woken.is_empty() {
-            self.active = merge_sorted(&self.active, &self.woken);
+            merge_sorted_into(&self.active, &self.woken, &mut self.merged);
+            std::mem::swap(&mut self.active, &mut self.merged);
         }
         debug_assert!(self.active.windows(2).all(|w| w[0] < w[1]));
         debug_assert!(!self.active.is_empty(), "a begun round has at least one awake node");
@@ -416,7 +457,7 @@ impl<'g> SleepyEngine<'g> {
         self.expect_node(idx, node, "Sends")?;
         let round = self.round;
         let neighbors = self.graph.neighbors(node);
-        let twins = self.twins.of(node);
+        let twins = &self.twins[self.graph.adj_range(node)];
         let degree = neighbors.len();
         for (index, m) in msgs.iter().enumerate() {
             if m.port >= degree {
@@ -427,13 +468,12 @@ impl<'g> SleepyEngine<'g> {
                     return Err(EngineError::MessageTooLarge { node, bits: m.bits, budget });
                 }
             }
-            let vm = &mut self.metrics[node as usize];
-            vm.messages_sent += 1;
-            vm.bits_sent += m.bits as u64;
+            self.counters.messages_sent[node as usize] += 1;
+            self.counters.bits_sent[node as usize] += m.bits as u64;
             let dst = neighbors[m.port];
             if let Some(model) = self.fault.as_mut() {
                 if model.message_lost(round, node, dst) {
-                    self.metrics[dst as usize].messages_lost += 1;
+                    self.counters.messages_lost[dst as usize] += 1;
                     if self.messages {
                         self.outputs.push(EngineOutput::Event(TraceEvent::MessageLost {
                             round,
@@ -454,12 +494,12 @@ impl<'g> SleepyEngine<'g> {
                 }));
             }
             if delivered {
-                let port = twins[m.port];
+                let port = twins[m.port] as Port;
                 debug_assert_eq!(Some(port), self.graph.port_to(dst, node), "twin-port table");
                 self.outputs.push(EngineOutput::Deliver { to: dst, port, from: node, index });
-                self.metrics[dst as usize].messages_received += 1;
+                self.counters.messages_received[dst as usize] += 1;
             } else {
-                self.metrics[dst as usize].messages_dropped += 1;
+                self.counters.messages_dropped[dst as usize] += 1;
             }
         }
         let next = idx + 1;
@@ -487,13 +527,11 @@ impl<'g> SleepyEngine<'g> {
         };
         self.expect_node(idx, node, "Step")?;
         let round = self.round;
-        {
-            let vm = &mut self.metrics[node as usize];
-            vm.awake_rounds += 1;
-            if vm.decide_round.is_none() && output_some {
-                vm.decide_round = Some(round);
-                self.outputs.push(EngineOutput::Event(TraceEvent::Decide { round, node }));
-            }
+        let v = node as usize;
+        self.counters.awake_rounds[v] += 1;
+        if output_some && self.counters.decide_round[v] == Round::MAX {
+            self.counters.decide_round[v] = round;
+            self.outputs.push(EngineOutput::Event(TraceEvent::Decide { round, node }));
         }
         match action {
             Action::Continue => self.carry.push(node),
@@ -501,7 +539,7 @@ impl<'g> SleepyEngine<'g> {
                 if wake_at <= round {
                     return Err(EngineError::SleepIntoPast { node, round, wake_at });
                 }
-                self.status[node as usize] = Status::Asleep;
+                self.status[v] = Status::Asleep;
                 self.alarms.schedule(wake_at, node);
                 self.outputs.push(EngineOutput::Event(TraceEvent::Sleep {
                     round,
@@ -513,8 +551,8 @@ impl<'g> SleepyEngine<'g> {
                 if !output_some {
                     return Err(EngineError::TerminatedWithoutOutput { node, round });
                 }
-                self.status[node as usize] = Status::Done;
-                self.metrics[node as usize].finish_round = Some(round);
+                self.status[v] = Status::Done;
+                self.counters.finish_round[v] = round;
                 self.max_finish = self.max_finish.max(round);
                 self.remaining -= 1;
                 self.outputs.push(EngineOutput::Event(TraceEvent::Terminate { round, node }));
@@ -572,8 +610,12 @@ impl<'g> SleepyEngine<'g> {
     /// once [`SleepyEngine::is_finished`]; callable anytime for
     /// diagnostics.
     pub fn finish(self) -> RunMetrics {
-        let total_rounds = if self.metrics.is_empty() { 0 } else { self.max_finish + 1 };
-        RunMetrics { per_node: self.metrics, total_rounds, active_rounds: self.active_rounds }
+        let total_rounds = if self.status.is_empty() { 0 } else { self.max_finish + 1 };
+        RunMetrics {
+            per_node: self.counters.into_node_metrics(),
+            total_rounds,
+            active_rounds: self.active_rounds,
+        }
     }
 }
 
@@ -782,6 +824,53 @@ mod tests {
         })));
     }
 
+    /// A run stopped by the round cap still yields per-node metrics: the
+    /// `Round::MAX` sentinels of undecided and unfinished nodes come out
+    /// as `None`, every recorded round as `Some`.
+    #[test]
+    fn failed_run_reports_unset_rounds_as_none() {
+        let g = Graph::from_edges(4, []).unwrap();
+        let cfg = EngineConfig { max_rounds: 1, ..EngineConfig::default() };
+        let mut sm = SleepyEngine::new(&g, &cfg, false);
+        // (node, round 0 step, round 1 step), each as (action, output_some).
+        let steps = [
+            (0, (Action::Terminate, true), None),
+            (1, (Action::Continue, true), Some((Action::Terminate, true))),
+            (2, (Action::Continue, false), Some((Action::Continue, true))),
+            (3, (Action::Continue, false), Some((Action::Continue, false))),
+        ];
+        for round in 0..2 {
+            let awake: Vec<_> = steps
+                .iter()
+                .filter_map(|&(node, first, second)| {
+                    if round == 0 { Some(first) } else { second }.map(|step| (node, step))
+                })
+                .collect();
+            for &(node, _) in &awake {
+                drain(&mut sm);
+                sm.handle_input(&EngineInput::Sends { node, msgs: vec![] }).unwrap();
+            }
+            for (i, &(node, (action, output_some))) in awake.iter().enumerate() {
+                drain(&mut sm);
+                let r = sm.handle_input(&EngineInput::Step { node, action, output_some });
+                if round == 1 && i + 1 == awake.len() {
+                    let capped = EngineError::MaxRoundsExceeded { max_rounds: 1, unfinished: 2 };
+                    assert_eq!(r.unwrap_err(), capped);
+                } else {
+                    r.unwrap();
+                }
+            }
+        }
+        let m = sm.finish();
+        assert_eq!((m.total_rounds, m.active_rounds), (2, 2));
+        let rounds: Vec<_> =
+            m.per_node.iter().map(|v| (v.awake_rounds, v.decide_round, v.finish_round)).collect();
+        assert_eq!(
+            rounds,
+            vec![(1, Some(0), Some(0)), (2, Some(0), Some(1)), (2, Some(1), None), (2, None, None)]
+        );
+    }
+
     /// The twin-port table agrees with `port_to` on every directed edge
     /// (the delivery path also checks this with a `debug_assert_eq!`).
     #[test]
@@ -798,13 +887,12 @@ mod tests {
             generators::barabasi_albert(70, 3, 7).unwrap(),
         ];
         for (i, graph) in graphs.iter().enumerate() {
-            let twins = TwinPorts::new(graph);
-            assert_eq!(twins.twin.len(), 2 * graph.m(), "graph {i}");
+            let twins = twin_ports(graph);
+            assert_eq!(twins.len(), 2 * graph.m(), "graph {i}");
             for v in graph.node_ids() {
-                assert_eq!(twins.of(v).len(), graph.degree(v), "graph {i} node {v}");
-                for (p, &twin) in twins.of(v).iter().enumerate() {
+                for (p, &twin) in twins[graph.adj_range(v)].iter().enumerate() {
                     let u = graph.endpoint(v, p);
-                    assert_eq!(Some(twin), graph.port_to(u, v), "graph {i} edge {v}:{p}");
+                    assert_eq!(Some(twin as Port), graph.port_to(u, v), "graph {i} edge {v}:{p}");
                 }
             }
         }

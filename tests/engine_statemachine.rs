@@ -10,8 +10,8 @@
 //! and replaying it through a fresh engine must reproduce the same
 //! metrics — the tape path shares no protocol code with the live run.
 //! The `Chorus` protocol adds what the algorithms never do: several
-//! messages on one port in a round, and a send phase that fails partway
-//! through.
+//! messages on one port in a round, so inboxes that outgrow the driver's
+//! one-slot-per-port arena, and a send phase that fails partway through.
 //!
 //! [`run_protocol_with_sink`]: sleepy::net::run_protocol_with_sink
 //! [`run_protocol_with_sink_legacy`]: sleepy::net::run_protocol_with_sink_legacy
@@ -22,9 +22,9 @@ use sleepy::baselines::{Ghaffari, GreedyCrt, LubyA, LubyB};
 use sleepy::graph::{Graph, NodeId};
 use sleepy::mis::{MisConfig, PreparedMis, SleepingMisProtocol};
 use sleepy::net::{
-    replay_tape, run_protocol_taped, run_protocol_with_sink, run_protocol_with_sink_legacy, Action,
-    EngineConfig, EngineError, FaultPlan, Incoming, MessageSize, NodeCtx, Outbox, Port, Protocol,
-    Round, Tape, TraceBuffer, TraceEvent,
+    replay_tape, run_protocol, run_protocol_taped, run_protocol_with_sink,
+    run_protocol_with_sink_legacy, Action, EngineConfig, EngineError, FaultPlan, Incoming,
+    MessageSize, NodeCtx, Outbox, Port, Protocol, Round, Tape, TraceBuffer, TraceEvent,
 };
 
 /// Strategy: an arbitrary simple graph as (n, edge set).
@@ -184,6 +184,33 @@ impl Protocol for Chorus {
     fn output(&self) -> Option<Self::Output> {
         Some(self.log.clone())
     }
+}
+
+/// A fixed graph on which `Chorus` spills every inbox it fills: each
+/// awake neighbor sends at least two messages on each port, so a node
+/// that hears anything hears more messages than it has ports, and its
+/// inbox overflows the driver's per-port arena. The random cases can
+/// draw edgeless graphs, which never spill.
+#[test]
+fn chorus_spills_past_degree_on_a_fixed_graph() {
+    let g = Graph::from_edges(6, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4)]).unwrap();
+    let factory = |id, _: &NodeCtx| Chorus { id, bad: false, log: Vec::new() };
+    let lossy = EngineConfig {
+        fault: FaultPlan::Iid { probability: 0.15, seed: 3 },
+        ..EngineConfig::default()
+    };
+    for config in [EngineConfig::default(), lossy] {
+        assert_statemachine_conformance(&g, &config, factory);
+    }
+    let run = run_protocol(&g, &EngineConfig::default(), factory).unwrap();
+    let spilled: Vec<NodeId> = g
+        .node_ids()
+        .filter(|&v| {
+            let log = run.outputs[v as usize].as_ref().unwrap();
+            (0..3).any(|r| log.iter().filter(|(_, t)| t.round == r).count() > g.degree(v))
+        })
+        .collect();
+    assert_eq!(spilled, vec![0, 1, 2, 3, 4], "every node with a neighbor spills");
 }
 
 /// Whether `sub` is `full` with some entries left out.
