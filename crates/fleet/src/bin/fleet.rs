@@ -33,9 +33,6 @@ USAGE:
     fleet worker [WORKER OPTIONS]   run one multi-process shard of a plan
     fleet merge  [MERGE OPTIONS]    merge shard stores + recover aggregates
     fleet gc     [GC OPTIONS]       expire and compact a result store
-    fleet bench-churn [BENCH OPTIONS]
-                                    measure incremental absorb throughput
-                                    (in-place DynGraph vs CSR rebuild)
     fleet record-tape [TAPE OPTIONS]
                                     run one algorithm and write the engine
                                     input/output exchange as a versioned
@@ -153,21 +150,6 @@ CHAOS OPTIONS:
   corruption; quarantine + warm replay), engine-burst / engine-crash
   (fault plans recorded twice must be byte-identical tapes that
   replay). Exit status is nonzero unless every leg passes.
-
-BENCH-CHURN OPTIONS:
-    --sizes LIST      node counts to sweep (default: 1000,10000,100000)
-    --events N        target update events per batch (default: 200)
-    --seed S          base seed (default: 0xC4A2)
-    --out FILE        machine-readable result JSON (default:
-                      BENCH_churn.json; `-` skips the file)
-    --smoke           tiny equivalence/no-rebuild check for CI: sizes
-                      64,256, 60 events, no timing claims, no file
-                      unless --out is given
-
-  Every bench-churn run first absorbs the event batch through BOTH
-  paths and fails unless their per-update records, phase-end graphs
-  and memberships are bit-identical and the in-place path performed
-  zero CSR rebuilds.
 
 RECORD-TAPE OPTIONS:
     --algo NAME       one of alg1,alg2,luby-a,luby-b,greedy,ghaffari
@@ -458,7 +440,6 @@ fn main() -> ExitCode {
         Some("worker") => return run_worker(),
         Some("merge") => return run_merge(),
         Some("gc") => return run_gc(),
-        Some("bench-churn") => return run_bench_churn(),
         Some("record-tape") => return run_record_tape(),
         Some("replay") => return run_replay(),
         Some("chaos") => return run_chaos(),
@@ -487,8 +468,8 @@ fn main() -> ExitCode {
 }
 
 /// Arms telemetry for a run: full event retention when a trace file was
-/// requested, bounded aggregates otherwise. (`gc` and `bench-churn`
-/// leave telemetry off — the bench keeps its timed loops span-free.)
+/// requested, bounded aggregates otherwise. (Only sweeps, `worker` and
+/// `merge` arm it; the other subcommands leave telemetry off.)
 fn set_telemetry_mode(trace: bool) {
     sleepy_telemetry::set_mode(if trace {
         sleepy_telemetry::Mode::Trace
@@ -897,256 +878,6 @@ fn run_gc() -> ExitCode {
         }
         Err(e) => fail(e),
     }
-}
-
-/// `fleet bench-churn` flags.
-struct BenchChurnArgs {
-    sizes: Vec<usize>,
-    events: usize,
-    seed: u64,
-    out: Option<PathBuf>,
-    smoke: bool,
-}
-
-fn parse_bench_churn_args() -> Result<Option<BenchChurnArgs>, String> {
-    let mut args = BenchChurnArgs {
-        sizes: vec![1_000, 10_000, 100_000],
-        events: 200,
-        seed: 0xC4A2,
-        out: Some(PathBuf::from("BENCH_churn.json")),
-        smoke: false,
-    };
-    let mut out_given = false;
-    let mut it = std::env::args().skip(2);
-    while let Some(flag) = it.next() {
-        let mut value = |flag: &str| it.next().ok_or_else(|| format!("missing value for {flag}"));
-        match flag.as_str() {
-            "--help" | "-h" => {
-                println!("{USAGE}");
-                return Ok(None);
-            }
-            "--sizes" => {
-                args.sizes = value("--sizes")?
-                    .split(',')
-                    .map(|s| s.parse::<usize>().map_err(|_| format!("bad size `{s}`")))
-                    .collect::<Result<_, _>>()?;
-            }
-            "--events" => {
-                args.events =
-                    value("--events")?.parse().map_err(|_| "bad --events value".to_string())?;
-                if args.events == 0 {
-                    return Err("--events must be >= 1".to_string());
-                }
-            }
-            "--seed" => {
-                let v = value("--seed")?;
-                args.seed = parse_u64_maybe_hex(&v).ok_or(format!("bad --seed `{v}`"))?;
-            }
-            "--out" => {
-                let v = value("--out")?;
-                args.out = (v != "-").then(|| PathBuf::from(v));
-                out_given = true;
-            }
-            "--smoke" => args.smoke = true,
-            other => return Err(format!("unknown `fleet bench-churn` flag `{other}`")),
-        }
-    }
-    if args.smoke {
-        args.sizes = vec![64, 256];
-        args.events = 60;
-        if !out_given {
-            args.out = None;
-        }
-    }
-    Ok(Some(args))
-}
-
-/// One (size, churn-model) measurement of `fleet bench-churn`.
-struct ChurnBenchRow {
-    n: usize,
-    m: usize,
-    model: ChurnModel,
-    events: usize,
-    inplace_secs: f64,
-    inplace_eps: f64,
-    rebuild_secs: f64,
-    rebuild_eps: f64,
-}
-
-/// `fleet bench-churn`: absorb one churn batch event-by-event through
-/// the in-place (`IncrementalRepairer`/DynGraph) and rebuild-per-event
-/// (`RebuildRepairer`) paths, verify they are bit-identical and that
-/// the in-place path performed zero CSR rebuilds, then time both and
-/// report absorb throughput.
-fn run_bench_churn() -> ExitCode {
-    use sleepy_fleet::{seed, FleetError, IncrementalRepairer, RebuildRepairer, UpdateRecord};
-    use sleepy_graph::{churn_delta_with_mis, DeltaEvent};
-    use std::time::Instant;
-
-    /// Absorbs the whole batch through `absorb`, returning the loop's
-    /// wall-clock — the one definition of a timed pass both paths use.
-    fn timed_absorbs(
-        events: &[DeltaEvent],
-        base_seed: u64,
-        mut absorb: impl FnMut(DeltaEvent, u64) -> Result<UpdateRecord, FleetError>,
-    ) -> f64 {
-        // sleepy-lint: allow(no-wall-clock): bench-churn's whole job is timing;
-        // its throughput report is diagnostic output, not a golden artifact.
-        let t = Instant::now();
-        for (k, &event) in events.iter().enumerate() {
-            absorb(event, seed::update_seed(base_seed, k as u64)).expect("verified above");
-        }
-        t.elapsed().as_secs_f64()
-    }
-
-    let args = match parse_bench_churn_args() {
-        Ok(Some(args)) => args,
-        Ok(None) => return ExitCode::SUCCESS,
-        Err(msg) => return fail(msg),
-    };
-    let algo = AlgoKind::SleepingMis;
-    let mut rows: Vec<ChurnBenchRow> = Vec::new();
-    for &n in &args.sizes {
-        for model in [ChurnModel::Uniform, ChurnModel::Adversarial] {
-            let graph = match GraphFamily::GnpAvgDeg(8.0).generate(n, args.seed) {
-                Ok(g) => g,
-                Err(e) => return fail(format!("generating n={n}: {e}")),
-            };
-            // Seed set: the deterministic ascending-id greedy MIS (cheap
-            // and valid, no algorithm run needed).
-            let order: Vec<sleepy_graph::NodeId> = (0..graph.n() as sleepy_graph::NodeId).collect();
-            let in_mis = sleepy_verify::greedy_by_order(&graph, &order);
-            let spec = ChurnSpec::targeting_events(&graph, args.events, 3, model);
-            let delta = match churn_delta_with_mis(&graph, &spec, args.seed ^ 0x0C, Some(&in_mis)) {
-                Ok(delta) => delta,
-                Err(e) => return fail(format!("sampling churn at n={n}: {e}")),
-            };
-            let events = delta.events();
-            if events.is_empty() {
-                return fail(format!("empty event batch at n={n} — raise --events"));
-            }
-
-            // Equivalence gate: both paths must agree bit-for-bit
-            // before any throughput number is reported.
-            let mut fast =
-                IncrementalRepairer::new(graph.clone(), in_mis.clone(), algo, Execution::Auto);
-            let mut oracle =
-                RebuildRepairer::new(graph.clone(), in_mis.clone(), algo, Execution::Auto);
-            for (k, &event) in events.iter().enumerate() {
-                let s = seed::update_seed(args.seed, k as u64);
-                let a = fast.absorb(event, s);
-                let b = oracle.absorb(event, s);
-                match (a, b) {
-                    (Ok(a), Ok(b)) if a == b => {}
-                    (Ok(a), Ok(b)) => {
-                        return fail(format!(
-                            "record divergence at n={n} event {k}: in-place {a:?} vs rebuild {b:?}"
-                        ))
-                    }
-                    (a, b) => {
-                        return fail(format!("absorb failed at n={n} event {k}: {a:?} {b:?}"))
-                    }
-                }
-            }
-            if fast.rebuild_count() != 0 {
-                return fail(format!(
-                    "in-place path rebuilt the CSR {} times during absorption at n={n}",
-                    fast.rebuild_count()
-                ));
-            }
-            let a = fast.finish();
-            let b = oracle.finish();
-            if a.graph != b.graph || a.set != b.set || a.summary != b.summary {
-                return fail(format!("phase-end divergence at n={n} ({model:?})"));
-            }
-
-            // Timed passes: repairer construction (the per-phase O(n+m)
-            // boundary both paths share) stays outside the clock; only
-            // the absorb loop is measured.
-            let time_path = |inplace: bool, min_secs: f64, max_passes: usize| -> (f64, usize) {
-                let mut total = 0.0;
-                let mut passes = 0usize;
-                while passes == 0 || (total < min_secs && passes < max_passes) {
-                    total += if inplace {
-                        let mut rep = IncrementalRepairer::new(
-                            graph.clone(),
-                            in_mis.clone(),
-                            algo,
-                            Execution::Auto,
-                        );
-                        timed_absorbs(&events, args.seed, |e, s| rep.absorb(e, s))
-                    } else {
-                        let mut rep = RebuildRepairer::new(
-                            graph.clone(),
-                            in_mis.clone(),
-                            algo,
-                            Execution::Auto,
-                        );
-                        timed_absorbs(&events, args.seed, |e, s| rep.absorb(e, s))
-                    };
-                    passes += 1;
-                }
-                (total, passes)
-            };
-            let (inplace_secs, inplace_passes) = time_path(true, 0.25, 400);
-            let (rebuild_secs, rebuild_passes) = time_path(false, 0.25, 8);
-            let eps = |secs: f64, passes: usize| events.len() as f64 * passes as f64 / secs;
-            let row = ChurnBenchRow {
-                n,
-                m: graph.m(),
-                model,
-                events: events.len(),
-                inplace_secs: inplace_secs / inplace_passes as f64,
-                inplace_eps: eps(inplace_secs, inplace_passes),
-                rebuild_secs: rebuild_secs / rebuild_passes as f64,
-                rebuild_eps: eps(rebuild_secs, rebuild_passes),
-            };
-            eprintln!(
-                "bench-churn: n={:>6} m={:>7} {:9} {:>4} events  in-place {:>12.0} ev/s  \
-                 rebuild {:>10.0} ev/s  speedup {:>7.1}x",
-                row.n,
-                row.m,
-                format!("({})", row.model.label()),
-                row.events,
-                row.inplace_eps,
-                row.rebuild_eps,
-                row.inplace_eps / row.rebuild_eps,
-            );
-            rows.push(row);
-        }
-    }
-    if args.smoke {
-        println!(
-            "bench-churn --smoke OK: {} configurations bit-identical, 0 CSR rebuilds per event",
-            rows.len()
-        );
-    }
-    if let Some(path) = &args.out {
-        let json = serde_json::json!({
-            "bench": "churn-absorb-throughput",
-            "family": "gnp-avg8",
-            "algo": algo.to_string(),
-            "target_events": args.events,
-            "seed": args.seed,
-            "rows": serde::Value::Array(rows.iter().map(|r| serde_json::json!({
-                "n": r.n,
-                "m": r.m,
-                "model": r.model.label(),
-                "events": r.events,
-                "inplace_batch_secs": r.inplace_secs,
-                "inplace_events_per_sec": r.inplace_eps,
-                "rebuild_batch_secs": r.rebuild_secs,
-                "rebuild_events_per_sec": r.rebuild_eps,
-                "speedup": r.inplace_eps / r.rebuild_eps,
-            })).collect()),
-        });
-        let text = serde_json::to_string_pretty(&json).expect("bench rows serialize");
-        if let Err(e) = std::fs::write(path, format!("{text}\n")) {
-            return fail(format!("cannot write {}: {e}", path.display()));
-        }
-        eprintln!("bench-churn: wrote {}", path.display());
-    }
-    ExitCode::SUCCESS
 }
 
 /// `fleet record-tape`: run one algorithm on one workload instance and

@@ -482,10 +482,10 @@ impl AbsorbTotals {
 ///
 /// The records and the phase-end graph are bit-identical to
 /// [`RebuildRepairer`]'s (the pre-refactor rebuild-per-event path,
-/// kept as the benchmark baseline and equivalence oracle); only the
-/// wall-clock differs. [`rebuild_count`](Self::rebuild_count) exposes
-/// how many CSR materializations happened — zero until
-/// [`finish`](Self::finish) snapshots the phase-end graph.
+/// kept as the equivalence oracle); only the wall-clock differs.
+/// [`rebuild_count`](Self::rebuild_count) exposes how many CSR
+/// materializations happened — zero until [`finish`](Self::finish)
+/// snapshots the phase-end graph.
 #[derive(Debug)]
 pub struct IncrementalRepairer {
     graph: DynGraph,
@@ -736,8 +736,8 @@ impl IncrementalRepairer {
             sleepy_telemetry::counter_add("repair.evictions", self.evictions);
             sleepy_telemetry::counter_add("repair.zero_scope", self.zero_scope);
             sleepy_telemetry::counter_add("repair.frontier_nodes", self.totals.scope_total as u64);
-            // The bench-churn claim, visible in normal runs: absorption
-            // itself triggers no CSR rebuilds.
+            // Absorption itself triggers no CSR rebuilds; this counter
+            // shows it in normal runs.
             sleepy_telemetry::counter_add("graph.absorb_rebuilds", self.graph.rebuild_count());
             for (key, buf) in [
                 ("repair.scratch_candidates_hw", self.candidates.capacity()),
@@ -765,11 +765,10 @@ impl IncrementalRepairer {
 
 /// The pre-[`DynGraph`] incremental path: absorbs each event by
 /// rebuilding the CSR graph from a one-event [`GraphDelta`] — O(n + m)
-/// *per event*. Kept (not as a `RepairStrategy`) as the wall-clock
-/// baseline for `fleet bench-churn` / `bench_churn_scaling` and as the
-/// oracle the equivalence proptests compare [`IncrementalRepairer`]
-/// against: both must produce bit-identical [`UpdateRecord`]s, graphs
-/// and memberships for the same event sequence and seeds.
+/// *per event*. Kept (not as a `RepairStrategy`) as the oracle the
+/// equivalence proptests compare [`IncrementalRepairer`] against: both
+/// must produce bit-identical [`UpdateRecord`]s, graphs and memberships
+/// for the same event sequence and seeds.
 ///
 /// [`GraphDelta`]: sleepy_graph::GraphDelta
 #[derive(Debug)]

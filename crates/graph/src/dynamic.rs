@@ -323,40 +323,6 @@ impl ChurnSpec {
         }
     }
 
-    /// A spec whose sampled batch on `g` decomposes into roughly
-    /// `events` update events, a quarter per kind (each arriving node's
-    /// attachment edges add up to `arrival_degree` more) — the shared
-    /// workload of the churn benchmarks (`fleet bench-churn`,
-    /// `bench_churn_scaling`), kept in one place so the two harnesses
-    /// cannot drift apart.
-    ///
-    /// # Example
-    ///
-    /// ```
-    /// use sleepy_graph::{churn_delta, generators, ChurnModel, ChurnSpec};
-    ///
-    /// let g = generators::gnp(500, 0.02, 1).unwrap();
-    /// let spec = ChurnSpec::targeting_events(&g, 100, 0, ChurnModel::Uniform);
-    /// let events = churn_delta(&g, &spec, 2).unwrap().events().len();
-    /// assert!((50..=150).contains(&events));
-    /// ```
-    pub fn targeting_events(
-        g: &Graph,
-        events: usize,
-        arrival_degree: usize,
-        model: ChurnModel,
-    ) -> Self {
-        let per_kind = (events as f64 / 4.0).max(1.0);
-        ChurnSpec {
-            edge_delete_frac: (per_kind / g.m().max(1) as f64).min(0.5),
-            edge_insert_frac: (per_kind / g.m().max(1) as f64).min(0.5),
-            node_delete_frac: (per_kind / g.n().max(1) as f64).min(0.3),
-            node_insert_frac: (per_kind / g.n().max(1) as f64).min(0.3),
-            arrival_degree,
-            model,
-        }
-    }
-
     /// Whether every intensity is zero. (`arrival_degree` does not
     /// matter: arrivals with degree 0 still add isolated nodes, which
     /// is churn.)

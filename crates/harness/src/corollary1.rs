@@ -13,6 +13,7 @@
 //!   output verifies as an MIS, against the n^{-1}-ish tie bound.
 
 use crate::error::HarnessError;
+use crate::experiments::Verdict;
 use crate::workloads::Workload;
 use serde::{Deserialize, Serialize};
 use sleepy_fleet::deterministic_map;
@@ -225,6 +226,17 @@ impl Corollary1Report {
         ));
         out
     }
+
+    /// The paper verdict: no trial is a counterexample to Corollary 1.
+    pub fn verdict(&self) -> Verdict {
+        let counterexamples: usize =
+            self.alg1_equivalence.iter().chain(&self.alg2_equivalence).map(|s| s.different).sum();
+        if counterexamples == 0 {
+            Ok(())
+        } else {
+            Err(format!("{counterexamples} counterexample(s) to Corollary 1, see the report"))
+        }
+    }
 }
 
 #[cfg(test)]
@@ -247,5 +259,27 @@ mod tests {
         assert!(r.alg1_validity_rate > 0.99);
         assert!(r.alg2_validity_rate > 0.99);
         assert!(r.render().contains("Corollary 1"));
+    }
+
+    #[test]
+    fn verdict_fails_on_a_counterexample() {
+        let stats = |family: &str| EquivalenceStats {
+            family: family.to_string(),
+            equal: 5,
+            different: 0,
+            skipped_ties: 1,
+            skipped_timeouts: 0,
+        };
+        let mut report = Corollary1Report {
+            config: Corollary1Config::default(),
+            alg1_equivalence: vec![stats("gnp"), stats("cycle")],
+            alg2_equivalence: vec![stats("gnp"), stats("cycle")],
+            alg1_validity_rate: 1.0,
+            alg2_validity_rate: 1.0,
+            validity_runs: 24,
+        };
+        assert_eq!(report.verdict(), Ok(()));
+        report.alg2_equivalence[1].different = 2;
+        assert!(report.verdict().unwrap_err().starts_with("2 counterexample(s) to Corollary 1"));
     }
 }

@@ -21,6 +21,7 @@
 //! one handles.
 
 use crate::error::HarnessError;
+use crate::experiments::Verdict;
 use serde::{Deserialize, Serialize};
 use sleepy_graph::GraphFamily;
 use sleepy_mis::{execute_sleeping_mis, schedule_tree, MisConfig, Schedule, ScheduleTreeNode};
@@ -118,6 +119,15 @@ impl Figure1Report {
         out.push_str(&self.sample_execution_tree);
         out
     }
+
+    /// The paper verdict: every label matches the paper's figure.
+    pub fn verdict(&self) -> Verdict {
+        if self.labels_match_paper {
+            Ok(())
+        } else {
+            Err("recursion-tree labels differ from the paper's Figure 1".to_string())
+        }
+    }
 }
 
 #[cfg(test)]
@@ -133,6 +143,19 @@ mod tests {
         let text = r.render();
         assert!(text.contains("YES"));
         assert!(text.contains("29"));
+    }
+
+    #[test]
+    fn verdict_fails_when_labels_differ() {
+        let mut report = Figure1Report {
+            figure_convention: Vec::new(),
+            pseudocode_convention: Vec::new(),
+            labels_match_paper: true,
+            sample_execution_tree: String::new(),
+        };
+        assert_eq!(report.verdict(), Ok(()));
+        report.labels_match_paper = false;
+        assert!(report.verdict().unwrap_err().contains("Figure 1"));
     }
 
     #[test]

@@ -2,9 +2,14 @@
 //!
 //! The experiment harness that regenerates **every table and figure** of
 //! *"Sleeping is Efficient"* (PODC 2020), plus empirical validation of its
-//! lemmas and theorems. Each module is one experiment; each has a CLI
-//! binary (`table1`, `figure1`, `figure2`, `lemmas`, `theorems`,
-//! `corollary1`, `energy`, `all-experiments`).
+//! lemmas and theorems. Each module below is one experiment, listed in
+//! the [`experiments`] table under its module name. The `experiments`
+//! binary runs any of them, or `all`; `--quick` picks their small
+//! configurations:
+//!
+//! ```text
+//! experiments <name>...|all [--quick]
+//! ```
 //!
 //! | Experiment | Paper artifact | Module |
 //! |-----------|----------------|--------|
@@ -33,6 +38,7 @@ pub mod coloring;
 pub mod corollary1;
 pub mod energy;
 mod error;
+pub mod experiments;
 pub mod figure1;
 pub mod figure2;
 pub mod lemmas;

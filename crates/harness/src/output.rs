@@ -29,12 +29,6 @@ pub fn default_results_dir() -> PathBuf {
     PathBuf::from("results")
 }
 
-/// Whether `--quick` was passed on the command line (smaller experiment
-/// configurations for smoke runs).
-pub fn quick_flag() -> bool {
-    std::env::args().any(|a| a == "--quick")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

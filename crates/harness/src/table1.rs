@@ -26,8 +26,8 @@ use sleepy_stats::{fit_power, TextTable};
 /// Configuration of the Table 1 experiment.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Table1Config {
-    /// Graph family to sweep (one family per invocation keeps the table
-    /// readable; the binary loops over the standard suite).
+    /// Graph family to sweep (one family per run keeps the table
+    /// readable).
     pub family: GraphFamily,
     /// Node counts (powers of two keep ⌈3·log₂ n⌉ smooth).
     pub sizes: Vec<usize>,
