@@ -160,7 +160,10 @@ fn run_artifacts(
 /// The store's live records as a key → compact-payload map (stamps are
 /// wall-clock metadata and excluded on purpose).
 fn store_payloads(store: &Store) -> BTreeMap<String, String> {
-    store.entries().map(|e| (e.key.clone(), serde::value::to_compact_string(&e.payload))).collect()
+    store
+        .entries()
+        .map(|e| (e.key.to_string(), serde::value::to_compact_string(e.payload)))
+        .collect()
 }
 
 /// Asserts `got` equals `want` byte-for-byte, naming the artifact.

@@ -145,7 +145,10 @@ fn duplicate_jobs_execute_once_and_fan_out() {
 }
 
 fn store_contents(store: &Store) -> BTreeMap<String, String> {
-    store.entries().map(|e| (e.key.clone(), serde_json::to_string(&e.payload).unwrap())).collect()
+    store
+        .entries()
+        .map(|e| (e.key.to_string(), serde_json::to_string(e.payload).unwrap()))
+        .collect()
 }
 
 proptest! {

@@ -114,12 +114,12 @@ fn partially_stored_trial_is_a_miss_and_reexecutes_whole() {
     let victim = store
         .entries()
         .find(|e| e.key.starts_with(&victim_prefix) && e.key.ends_with("/p1"))
-        .map(|e| e.key.clone())
+        .map(|e| e.key.to_string())
         .expect("a phase-1 record of job 0 exists");
     let survivors: Vec<(String, serde::Value)> = store
         .entries()
         .filter(|e| e.key != victim)
-        .map(|e| (e.key.clone(), e.payload.clone()))
+        .map(|e| (e.key.to_string(), e.payload.clone()))
         .collect();
     drop(store);
 

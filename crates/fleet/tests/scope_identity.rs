@@ -84,7 +84,7 @@ fn run_cell(recorder: Recorder, threads: usize, tag: &str) -> RunArtifacts {
 
     let store_records = store
         .entries()
-        .map(|e| (e.key.clone(), serde::value::to_compact_string(&e.payload)))
+        .map(|e| (e.key.to_string(), serde::value::to_compact_string(e.payload)))
         .collect();
     drop(store);
     std::fs::remove_dir_all(&dir).unwrap();

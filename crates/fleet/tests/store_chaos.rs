@@ -56,7 +56,10 @@ fn template() -> &'static Template {
 }
 
 fn payload_map(store: &Store) -> BTreeMap<String, String> {
-    store.entries().map(|e| (e.key.clone(), serde::value::to_compact_string(&e.payload))).collect()
+    store
+        .entries()
+        .map(|e| (e.key.to_string(), serde::value::to_compact_string(e.payload)))
+        .collect()
 }
 
 /// Copies the template store into a fresh per-case directory.

@@ -96,7 +96,7 @@ fn run_both(mode: Mode, threads: usize) -> RunArtifacts {
 
     let store_records = store
         .entries()
-        .map(|e| (e.key.clone(), serde::value::to_compact_string(&e.payload)))
+        .map(|e| (e.key.to_string(), serde::value::to_compact_string(e.payload)))
         .collect();
     drop(store);
     std::fs::remove_dir_all(&dir).unwrap();

@@ -15,6 +15,9 @@ pub enum StoreError {
     Io(PathBuf, std::io::Error),
     /// The store was asked to do something invalid.
     Config(String),
+    /// No segment number is left for a new segment: the store in this
+    /// directory holds a segment numbered `u64::MAX - 1` or above.
+    SegmentsExhausted(PathBuf),
 }
 
 impl fmt::Display for StoreError {
@@ -22,6 +25,9 @@ impl fmt::Display for StoreError {
         match self {
             StoreError::Io(path, e) => write!(f, "store I/O failed on {}: {e}", path.display()),
             StoreError::Config(msg) => write!(f, "invalid store operation: {msg}"),
+            StoreError::SegmentsExhausted(dir) => {
+                write!(f, "no segment number left in store {}", dir.display())
+            }
         }
     }
 }
@@ -30,7 +36,7 @@ impl Error for StoreError {
     fn source(&self) -> Option<&(dyn Error + 'static)> {
         match self {
             StoreError::Io(_, e) => Some(e),
-            StoreError::Config(_) => None,
+            StoreError::Config(_) | StoreError::SegmentsExhausted(_) => None,
         }
     }
 }

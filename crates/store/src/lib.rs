@@ -14,11 +14,16 @@
 //!   line carrying `key`, `stamp` (unix seconds, for TTL), `payload`
 //!   (an arbitrary JSON value), and `sum` (an FNV-1a-64 checksum of the
 //!   rest of the line, exactly 16 lowercase hex digits). The checksum
-//!   is verified over the raw line bytes as written, so opening a store
-//!   costs one parse and one hash pass per line and never re-serializes
-//!   a payload. Segments are written to a temp file and published with
-//!   an atomic rename, so a crash can never leave a half-written segment
-//!   under its final name.
+//!   is verified over the raw line bytes as written, and a payload is
+//!   never re-serialized. Segments are written to a temp file and
+//!   published with an atomic rename, so a crash can never leave a
+//!   half-written segment under its final name.
+//! * **Verify at open, decode on first lookup.** Opening a store costs
+//!   one hash pass and one validating scan per line (the JSON parser's
+//!   own grammar, building nothing) and builds no payload;
+//!   [`Store::get`] parses a payload the first time it is asked for and
+//!   keeps it. A replay that serves a third of the store builds a third
+//!   of the payloads.
 //! * **Manifest.** `manifest.json` lists the live segments in order. It
 //!   is itself replaced atomically. The manifest is an accelerator, not
 //!   the source of truth: segments are self-validating, so a missing or
@@ -76,4 +81,4 @@ mod store;
 pub use chaos::{StoreFault, StoreFaultInjector};
 pub use error::StoreError;
 pub use segment::{decode_line, encode_line, fnv1a64, Entry};
-pub use store::{GcStats, Store, StoreStats};
+pub use store::{EntryRef, GcStats, Store, StoreStats};

@@ -2,12 +2,14 @@
 //! append, merge, and GC compaction.
 
 use crate::error::StoreError;
-use crate::segment::{decode_line, encode_line, Entry};
+use crate::segment::{check_segment, encode_line, Entry};
 use serde::Value;
 use std::collections::{btree_map, BTreeMap};
 use std::fs;
 use std::io::Write;
+use std::ops::Range;
 use std::path::{Path, PathBuf};
+use std::sync::OnceLock;
 
 const MANIFEST: &str = "manifest.json";
 const MANIFEST_VERSION: u64 = 1;
@@ -45,23 +47,70 @@ pub struct GcStats {
     pub segments_after: u64,
 }
 
+/// A live entry as [`Store::entries`] yields it, borrowed from the store.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct EntryRef<'s> {
+    /// The content address of the entry.
+    pub key: &'s str,
+    /// Unix seconds at write time.
+    pub stamp: u64,
+    /// The stored document.
+    pub payload: &'s Value,
+}
+
+impl EntryRef<'_> {
+    /// An owned copy of the entry.
+    pub fn to_entry(self) -> Entry {
+        Entry { key: self.key.to_string(), stamp: self.stamp, payload: self.payload.clone() }
+    }
+}
+
+/// One live entry in the store's memory. Its key is held once, by the
+/// index.
+#[derive(Debug)]
+struct Slot {
+    stamp: u64,
+    payload: Payload,
+}
+
+/// A payload as the store holds it.
+#[derive(Debug)]
+enum Payload {
+    /// Appended since open: the value as given.
+    Given(Value),
+    /// Loaded at open: `texts[text][range]`, verified then and parsed on
+    /// the first lookup.
+    Loaded { text: usize, range: Range<usize>, value: OnceLock<Value> },
+}
+
 /// An on-disk content-addressed store with an in-memory index.
 ///
-/// All lookups hit the in-memory index (loaded once at [`open`]); all
-/// writes go through [`append`]-style batch operations that publish one
-/// new immutable segment atomically. See the crate docs for the format.
+/// [`open`] verifies every segment line in full — checksum, frame and
+/// the payload's JSON syntax — and indexes the keys, but keeps each
+/// payload as a range of its segment's text; [`get`] parses a payload
+/// the first time it is asked for and keeps the value. A warm replay
+/// therefore builds only the payloads it serves. The store is `Sync`:
+/// concurrent readers parse (once each) in parallel. All writes go
+/// through [`append`]-style batch operations that publish one new
+/// immutable segment atomically. See the crate docs for the format.
 ///
 /// [`open`]: Store::open
+/// [`get`]: Store::get
 /// [`append`]: Store::append
 #[derive(Debug)]
 pub struct Store {
     dir: PathBuf,
-    entries: Vec<Entry>,
-    // Key → position in `entries`. Lookup-only today, but a BTreeMap
-    // keeps even an accidental future iteration deterministic
-    // (no-hash-collections).
+    // The text of every loaded segment, which `Payload::Loaded` ranges
+    // index into.
+    texts: Vec<String>,
+    entries: Vec<Slot>,
+    // Key → position in `entries`, holding the one copy of each key
+    // (`entries()` reads keys back from it). A BTreeMap keeps that
+    // iteration deterministic (no-hash-collections).
     index: BTreeMap<String, usize>,
     segments: Vec<SegmentMeta>,
+    // The number the next published segment takes; `u64::MAX` once no
+    // number is left (a segment numbered `u64::MAX - 1` or above exists).
     next_segment: u64,
     stats_quarantined: u64,
     stats_duplicates: u64,
@@ -70,11 +119,12 @@ pub struct Store {
 impl Store {
     /// Opens (creating if needed) the store at `dir`.
     ///
-    /// Loads the manifest, verifies every listed segment line-by-line,
-    /// quarantines corrupt segments, and adopts valid segments present
-    /// on disk but missing from the manifest (published just before a
-    /// crash). A missing or corrupt manifest is rebuilt from the
-    /// segment files.
+    /// Loads the manifest, verifies every listed segment line-by-line
+    /// (checksum, frame and payload syntax; no payload is built until
+    /// [`get`](Store::get) asks for it), quarantines corrupt segments,
+    /// and adopts valid segments present on disk but missing from the
+    /// manifest (published just before a crash). A missing or corrupt
+    /// manifest is rebuilt from the segment files.
     ///
     /// # Errors
     ///
@@ -86,6 +136,7 @@ impl Store {
         fs::create_dir_all(&dir).map_err(|e| StoreError::Io(dir.clone(), e))?;
         let mut store = Store {
             dir: dir.clone(),
+            texts: Vec::new(),
             entries: Vec::new(),
             index: BTreeMap::new(),
             segments: Vec::new(),
@@ -130,9 +181,25 @@ impl Store {
         &self.dir
     }
 
-    /// Looks a payload up by key.
+    /// Looks a payload up by key. A payload loaded from disk is parsed on
+    /// its first lookup and kept, so later lookups, from any thread,
+    /// return the same value without parsing again.
     pub fn get(&self, key: &str) -> Option<&Value> {
-        self.index.get(key).map(|&i| &self.entries[i].payload)
+        self.index.get(key).map(|&i| self.payload(&self.entries[i]))
+    }
+
+    /// The payload of `slot`, parsed on first use.
+    fn payload<'s>(&'s self, slot: &'s Slot) -> &'s Value {
+        match &slot.payload {
+            Payload::Given(value) => value,
+            Payload::Loaded { text, range, value } => value.get_or_init(|| {
+                sleepy_telemetry::counter_add("store.payloads_decoded", 1);
+                // `check_segment` ran the parser's own grammar over this
+                // text at open, so the parse cannot fail.
+                serde_json::from_str(&self.texts[*text][range.clone()])
+                    .expect("payload validated at open")
+            }),
+        }
     }
 
     /// Whether a key is present.
@@ -150,11 +217,20 @@ impl Store {
         self.index.is_empty()
     }
 
-    /// All live entries in canonical (segment, line) order. (Shadowed
-    /// duplicates are dropped at load/append time, so everything held
-    /// in memory is live.)
-    pub fn entries(&self) -> impl Iterator<Item = &Entry> {
-        self.entries.iter()
+    /// All live entries in canonical (segment, line) order, each payload
+    /// parsed as [`get`](Store::get) would. (Shadowed duplicates are
+    /// dropped at load/append time, so everything held in memory is
+    /// live.)
+    pub fn entries(&self) -> impl Iterator<Item = EntryRef<'_>> {
+        let mut keys = vec![""; self.entries.len()];
+        for (key, &i) in &self.index {
+            keys[i] = key;
+        }
+        keys.into_iter().zip(&self.entries).map(|(key, slot)| EntryRef {
+            key,
+            stamp: slot.stamp,
+            payload: self.payload(slot),
+        })
     }
 
     /// Aggregate stats (entry/segment counts, quarantine tally).
@@ -174,7 +250,7 @@ impl Store {
     ///
     /// # Errors
     ///
-    /// Filesystem failures.
+    /// Filesystem failures, and [`StoreError::SegmentsExhausted`].
     pub fn append(&mut self, batch: Vec<(String, Value)>) -> Result<u64, StoreError> {
         let stamp = now_unix();
         self.append_stamped(batch, stamp)
@@ -185,7 +261,7 @@ impl Store {
     ///
     /// # Errors
     ///
-    /// Filesystem failures.
+    /// Filesystem failures, and [`StoreError::SegmentsExhausted`].
     pub fn append_stamped(
         &mut self,
         batch: Vec<(String, Value)>,
@@ -208,11 +284,11 @@ impl Store {
     ///
     /// # Errors
     ///
-    /// Filesystem failures.
+    /// Filesystem failures, and [`StoreError::SegmentsExhausted`].
     pub fn merge_from(&mut self, other: &Store) -> Result<u64, StoreError> {
         let _span = sleepy_telemetry::span("store", "merge");
         let fresh: Vec<Entry> =
-            other.entries().filter(|e| !self.contains(&e.key)).cloned().collect();
+            other.entries().filter(|e| !self.contains(e.key)).map(EntryRef::to_entry).collect();
         let added = self.append_entries(fresh)?;
         sleepy_telemetry::counter_add("store.records_merged", added);
         Ok(added)
@@ -224,12 +300,15 @@ impl Store {
     ///
     /// # Errors
     ///
-    /// Filesystem failures.
+    /// Filesystem failures, and [`StoreError::SegmentsExhausted`] (then
+    /// nothing is retired).
     pub fn gc(&mut self, expire_before: u64) -> Result<GcStats, StoreError> {
         let _span = sleepy_telemetry::span("store", "gc");
+        // Fail before retiring anything if no new segment can be published.
+        self.segment_number()?;
         let segments_before = self.segments.len() as u64;
         let survivors: Vec<Entry> =
-            self.entries().filter(|e| e.stamp >= expire_before).cloned().collect();
+            self.entries().filter(|e| e.stamp >= expire_before).map(EntryRef::to_entry).collect();
         let dropped = self.index.len() as u64 - survivors.len() as u64;
         let old: Vec<String> = self.segments.iter().map(|s| s.name.clone()).collect();
 
@@ -247,6 +326,7 @@ impl Store {
         self.segments.clear();
         self.entries.clear();
         self.index.clear();
+        self.texts.clear();
         self.stats_duplicates = 0;
         let kept = self.append_entries(survivors)?;
         self.write_manifest()?;
@@ -273,8 +353,9 @@ impl Store {
         if fresh.is_empty() {
             return Ok(0);
         }
-        let name = format!("seg-{:08}.jsonl", self.next_segment);
-        self.next_segment += 1;
+        let number = self.segment_number()?;
+        let name = format!("seg-{number:08}.jsonl");
+        self.next_segment = number + 1;
         let mut text = String::new();
         for e in &fresh {
             text.push_str(&encode_line(e));
@@ -285,19 +366,34 @@ impl Store {
         self.write_manifest()?;
         let added = fresh.len() as u64;
         for e in fresh {
-            self.index.insert(e.key.clone(), self.entries.len());
-            self.entries.push(e);
+            self.index.insert(e.key, self.entries.len());
+            self.entries.push(Slot { stamp: e.stamp, payload: Payload::Given(e.payload) });
         }
         Ok(added)
+    }
+
+    /// The number the next published segment takes.
+    fn segment_number(&self) -> Result<u64, StoreError> {
+        match self.next_segment {
+            u64::MAX => Err(StoreError::SegmentsExhausted(self.dir.clone())),
+            number => Ok(number),
+        }
     }
 
     /// Reads the manifest's segment list; a missing or corrupt manifest
     /// yields an empty list (the caller rebuilds from the segment scan).
     fn read_manifest(&mut self) -> Vec<String> {
         let path = self.dir.join(MANIFEST);
-        let Ok(text) = fs::read_to_string(&path) else { return Vec::new() };
-        let parsed = serde_json::from_str(&text).ok().and_then(|v: Value| {
-            let next = v.get("next_segment")?.as_u64()?;
+        let Ok(bytes) = fs::read(&path) else { return Vec::new() };
+        let json =
+            std::str::from_utf8(&bytes).ok().and_then(|text| serde_json::from_str(text).ok());
+        let parsed = json.and_then(|v: Value| {
+            // `u64::MAX` would leave no number for the next append. Only
+            // the segment files can say that, so a manifest claiming it
+            // is corrupt. (A store that really holds a segment numbered
+            // `u64::MAX - 1` or above gets its manifest rebuilt on every
+            // open; no writer numbers that high.)
+            let next = v.get("next_segment")?.as_u64().filter(|&n| n < u64::MAX)?;
             let segs = v.get("segments")?.as_array()?.clone();
             let names: Option<Vec<String>> =
                 segs.iter().map(|s| Some(s.get("name")?.as_str()?.to_string())).collect();
@@ -358,12 +454,8 @@ impl Store {
         // A segment must be valid UTF-8 lines of self-checking JSON; any
         // deviation (including a missing trailing newline — truncation)
         // condemns the file.
-        let decoded: Option<Vec<Entry>> = std::str::from_utf8(&bytes)
-            .ok()
-            .filter(|text| text.is_empty() || text.ends_with('\n'))
-            .map(|text| text.lines().map(decode_line).collect::<Option<Vec<_>>>())
-            .unwrap_or(None);
-        let Some(decoded) = decoded else {
+        let text = String::from_utf8(bytes).ok().filter(|t| t.is_empty() || t.ends_with('\n'));
+        let Some((text, checked)) = text.and_then(|t| check_segment(&t).map(|c| (t, c))) else {
             let target = self.dir.join(format!("{name}.quarantined"));
             fs::rename(&path, &target).map_err(|e| StoreError::Io(path.clone(), e))?;
             self.stats_quarantined += 1;
@@ -375,21 +467,25 @@ impl Store {
             .and_then(|s| s.strip_suffix(".jsonl"))
             .and_then(|s| s.parse::<u64>().ok())
         {
-            self.next_segment = self.next_segment.max(num + 1);
+            self.next_segment = self.next_segment.max(num.saturating_add(1));
         }
         let mut live = 0u64;
-        for e in decoded {
-            match self.index.entry(e.key.clone()) {
+        self.entries.reserve(checked.len());
+        for (key, stamp, range) in checked {
+            match self.index.entry(key) {
                 // Shadowed by an earlier segment (first write wins);
                 // dropping it here keeps losers out of memory entirely.
                 btree_map::Entry::Occupied(_) => self.stats_duplicates += 1,
                 btree_map::Entry::Vacant(slot) => {
                     slot.insert(self.entries.len());
-                    self.entries.push(e);
+                    let text = self.texts.len();
+                    let payload = Payload::Loaded { text, range, value: OnceLock::new() };
+                    self.entries.push(Slot { stamp, payload });
                     live += 1;
                 }
             }
         }
+        self.texts.push(text);
         self.segments.push(SegmentMeta { name: name.to_string(), entries: live });
         Ok(())
     }
@@ -566,6 +662,118 @@ mod tests {
     }
 
     #[test]
+    fn every_manifest_mutation_opens_and_serves_everything() {
+        let dir = tmp_dir("manifest-mutants");
+        let mut s = Store::open(&dir).unwrap();
+        for i in 0..3 {
+            s.append(vec![(format!("k{i}"), payload(i))]).unwrap();
+        }
+        drop(s);
+        let manifest = dir.join(MANIFEST);
+        let aside = dir.join("manifest.json.quarantined");
+        let original = fs::read(&manifest).unwrap();
+        // Open must succeed, serve every entry, and either use the
+        // manifest as written or set exactly it aside.
+        let check = |mutant: &[u8]| {
+            fs::write(&manifest, mutant).unwrap();
+            let _ = fs::remove_file(&aside);
+            let s = Store::open(&dir).unwrap();
+            let shown = String::from_utf8_lossy(mutant);
+            for i in 0..3 {
+                assert_eq!(s.get(&format!("k{i}")), Some(&payload(i)), "{shown}");
+            }
+            match s.stats().quarantined {
+                0 => {
+                    let parsed = std::str::from_utf8(mutant).map(serde_json::from_str);
+                    assert!(matches!(parsed, Ok(Ok(_))) && !aside.exists(), "{shown}");
+                }
+                1 => assert_eq!(fs::read(&aside).unwrap(), mutant, "{shown}"),
+                n => panic!("{n} quarantined for {shown}"),
+            }
+        };
+        let mut bytes = original.clone();
+        for at in 0..bytes.len() {
+            check(&original[..at]);
+            for bit in 0..8 {
+                bytes[at] ^= 1 << bit;
+                check(&bytes);
+                bytes[at] ^= 1 << bit;
+            }
+        }
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_segment_numbered_u64_max_leaves_no_number_to_append_under() {
+        let dir = tmp_dir("seg-max");
+        let mut s = Store::open(&dir).unwrap();
+        s.append(vec![("a".into(), payload(1))]).unwrap();
+        drop(s);
+        fs::write(dir.join(format!("seg-{}.jsonl", u64::MAX)), "").unwrap();
+        let mut s = Store::open(&dir).unwrap();
+        assert_eq!((s.len(), s.stats().segments, s.stats().quarantined), (1, 2, 0));
+        let refused = s.append(vec![("b".into(), payload(2))]);
+        assert!(matches!(refused, Err(StoreError::SegmentsExhausted(_))), "{refused:?}");
+        // gc would publish a segment too, so it refuses before retiring any.
+        assert!(matches!(s.gc(0), Err(StoreError::SegmentsExhausted(_))));
+        drop(s);
+        let s = Store::open(&dir).unwrap();
+        assert_eq!(s.get("a"), Some(&payload(1)));
+        assert!(!s.contains("b"));
+        assert!(!dir.join("seg-00000000.jsonl").exists(), "the numbering must not wrap");
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_manifest_claiming_u64_max_is_set_aside() {
+        let dir = tmp_dir("manifest-max");
+        let mut s = Store::open(&dir).unwrap();
+        s.append(vec![("a".into(), payload(1))]).unwrap();
+        drop(s);
+        let text = fs::read_to_string(dir.join(MANIFEST)).unwrap();
+        let claim = text.replace("\"next_segment\": 2", &format!("\"next_segment\": {}", u64::MAX));
+        assert_ne!(claim, text);
+        fs::write(dir.join(MANIFEST), claim).unwrap();
+        let mut s = Store::open(&dir).unwrap();
+        assert_eq!(s.stats().quarantined, 1);
+        assert!(dir.join("manifest.json.quarantined").exists());
+        assert_eq!(s.append(vec![("b".into(), payload(2))]).unwrap(), 1);
+        assert!(dir.join("seg-00000002.jsonl").exists());
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn payloads_are_parsed_on_first_lookup_only() {
+        fn send_sync<T: Send + Sync>() {}
+        send_sync::<Store>();
+        let parsed = |s: &Store| {
+            let loaded =
+                |p: &Payload| matches!(p, Payload::Loaded { value, .. } if value.get().is_some());
+            s.entries.iter().filter(|e| loaded(&e.payload)).count()
+        };
+        let dir = tmp_dir("lazy");
+        let mut s = Store::open(&dir).unwrap();
+        s.append((0..4).map(|i| (format!("k{i}"), payload(i))).collect()).unwrap();
+        drop(s);
+        let s = Store::open(&dir).unwrap();
+        assert_eq!(parsed(&s), 0, "open verifies payloads but builds none");
+        assert_eq!(s.get("k2"), Some(&payload(2)));
+        assert_eq!(s.get("k2"), Some(&payload(2)));
+        assert_eq!(parsed(&s), 1);
+        // Readers on two threads share one parse.
+        std::thread::scope(|scope| {
+            for _ in 0..2 {
+                scope.spawn(|| assert_eq!(s.get("k3"), Some(&payload(3))));
+            }
+        });
+        assert_eq!(parsed(&s), 2);
+        let all: Vec<Entry> = s.entries().map(EntryRef::to_entry).collect();
+        assert_eq!(all.len(), 4);
+        assert_eq!(parsed(&s), 4);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
     fn merge_unions_and_is_idempotent() {
         let dir_a = tmp_dir("merge-a");
         let dir_b = tmp_dir("merge-b");
@@ -642,7 +850,7 @@ mod tests {
         let mut s = Store::open(&dir).unwrap();
         s.append_stamped(vec![("b".into(), payload(2))], 1).unwrap();
         s.append_stamped(vec![("a".into(), payload(1))], 1).unwrap();
-        let keys: Vec<&str> = s.entries().map(|e| e.key.as_str()).collect();
+        let keys: Vec<&str> = s.entries().map(|e| e.key).collect();
         assert_eq!(keys, vec!["b", "a"], "segment order, not key order");
         fs::remove_dir_all(&dir).unwrap();
     }

@@ -38,7 +38,8 @@ fn recorded_segment_lines_open_and_serve_their_payloads() {
         assert_eq!(store.get(key), parsed.get("payload"), "{key}");
     }
     // Served entries re-encode to the recorded bytes.
-    let reencoded: Vec<String> = store.entries().map(sleepy_store::encode_line).collect();
+    let reencoded: Vec<String> =
+        store.entries().map(|e| sleepy_store::encode_line(&e.to_entry())).collect();
     assert_eq!(reencoded, [GOLDEN_LINE, TRIAL_LINE]);
     drop(store);
     std::fs::remove_dir_all(&dir).unwrap();

@@ -1,8 +1,9 @@
 //! Thread-scaling demonstration of the fleet runtime on the acceptance
 //! sweep: the six standard graph families × both paper algorithms × two
 //! baselines, ≥ 1000 trials total. Runs the identical plan at several
-//! thread counts, asserts the aggregate reports are byte-identical, and
-//! prints the wall-clock scaling table.
+//! thread counts in interleaved passes (1, 2, 4, 8 threads, then again),
+//! asserts every pass's aggregate report is byte-identical to the first,
+//! and prints each thread count's median wall clock with its min–max.
 //!
 //! ```text
 //! cargo run --release --example fleet_speedup
@@ -15,6 +16,11 @@
 use sleepy::baselines::BaselineKind;
 use sleepy::fleet::{run_plan, standard_families, AlgoKind, Execution, FleetConfig, TrialPlan};
 use sleepy::stats::TextTable;
+
+/// Passes over all thread counts. One ~0.2 s sweep per sample swings
+/// by tens of percent on a shared host; a median of seven interleaved
+/// samples does not, and interleaving spreads slow spells evenly.
+const PASSES: usize = 7;
 
 fn main() {
     let algos = [
@@ -34,29 +40,45 @@ fn main() {
         cores,
     );
 
-    let mut table = TextTable::new(vec!["threads", "wall clock", "speedup vs 1 thread"]);
-    let mut baseline_secs = None;
+    let thread_counts = [1usize, 2, 4, 8];
+    let mut samples: Vec<Vec<f64>> = vec![Vec::new(); thread_counts.len()];
     let mut reference_report = None;
-    for threads in [1usize, 2, 4, 8] {
-        let out = run_plan(&plan, &FleetConfig::with_threads(threads)).expect("fleet sweep runs");
-        assert_eq!(out.total_trials, plan.total_trials());
-        let report = serde_json::to_string(&out.report(&plan)).expect("serializes");
-        match &reference_report {
-            None => reference_report = Some(report),
-            Some(reference) => {
-                assert_eq!(reference, &report, "aggregates differ at {threads} threads");
+    for pass in 0..PASSES {
+        for (secs, &threads) in samples.iter_mut().zip(&thread_counts) {
+            let out =
+                run_plan(&plan, &FleetConfig::with_threads(threads)).expect("fleet sweep runs");
+            assert_eq!(out.total_trials, plan.total_trials());
+            let report = serde_json::to_string(&out.report(&plan)).expect("serializes");
+            match &reference_report {
+                None => reference_report = Some(report),
+                Some(reference) => {
+                    assert_eq!(
+                        reference, &report,
+                        "aggregates differ at {threads} threads, pass {pass}"
+                    );
+                }
             }
+            secs.push(out.elapsed.as_secs_f64());
         }
-        let secs = out.elapsed.as_secs_f64();
-        let speedup = baseline_secs.get_or_insert(secs);
+    }
+
+    let mut table =
+        TextTable::new(vec!["threads", "median wall clock", "min-max", "speedup vs 1 thread"]);
+    let mut baseline_secs = None;
+    for (secs, threads) in samples.iter_mut().zip(thread_counts) {
+        secs.sort_by(f64::total_cmp);
+        let median = secs[secs.len() / 2];
+        let speedup = baseline_secs.get_or_insert(median);
         table.row(vec![
             threads.to_string(),
-            format!("{secs:.2} s"),
-            format!("{:.2}x", *speedup / secs),
+            format!("{median:.3} s"),
+            format!("{:.3}-{:.3} s", secs[0], secs[secs.len() - 1]),
+            format!("{:.2}x", *speedup / median),
         ]);
     }
     println!("{}", table.render());
-    println!("aggregate reports byte-identical across all thread counts: YES");
+    println!("{PASSES} interleaved passes per thread count; speedup compares medians");
+    println!("aggregate reports byte-identical across all thread counts and passes: YES");
     if cores < 8 {
         println!(
             "note: only {cores} core(s) available here — rerun on an 8-core machine to see \
