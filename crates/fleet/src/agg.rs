@@ -1,39 +1,29 @@
-//! Mergeable per-job aggregates.
+//! Per-job aggregates, built push by push.
 //!
 //! The in-process runner keeps the strongest invariant — output depends
 //! only on the plan — by having its in-order collector [`push`] every
 //! trial sequentially in global trial order; neither thread count nor
-//! shard size can perturb a single bit. [`merge`] is the associative
-//! reduction for the *multi-process sharding* follow-on (ROADMAP),
-//! where each process aggregates its plan-fixed trial range and the
-//! coordinator merges partials in range order; floating-point rounding
-//! then depends on the (plan-fixed) split geometry, but still not on
-//! scheduling. Until that lands, `merge` is exercised by unit tests and
-//! `sleepy_stats::StreamingMoments`, not by [`run_plan`].
+//! shard size can perturb a single bit. Multi-process runs keep it too:
+//! the coordinator merges the workers' result stores and replays the
+//! plan warm through the same collector ([`procs`](crate::procs)), so
+//! no partial aggregate is ever combined with another.
 //!
 //! Moments stream in O(1) memory ([`StreamingMoments`]); exact p50/p99
 //! additionally retain the raw per-trial values (8 bytes per trial per
-//! metric — fine at the thousands-of-trials scale; a later PR can swap
-//! in a quantile sketch).
+//! metric — fine at the thousands-of-trials scale).
 //!
 //! [`push`]: JobAggregate::push
-//! [`merge`]: JobAggregate::merge
-//! [`run_plan`]: crate::run_plan
 
 use crate::measure::{ComplexityReport, DynamicReport};
 use serde::{Deserialize, Serialize};
-use sleepy_stats::{PhaseSeries, QuantileSketch, StreamingMoments, Summary, UpdateSeries};
+use sleepy_stats::{PhaseSeries, StreamingMoments, Summary, UpdateSeries};
 
-/// A single metric's mergeable aggregate.
+/// A single metric's aggregate: streaming moments plus the retained
+/// samples its quantiles are read from.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct MetricAggregate {
     /// Streaming count/mean/M2/min/max.
     pub moments: StreamingMoments,
-    /// Mergeable approximate quantiles (O(log n) memory). Reports
-    /// still quote the exact sample-based p50/p99; the sketch is the
-    /// groundwork for dropping raw samples once plans reach millions
-    /// of trials — shard merges then ship sketches, not samples.
-    pub sketch: QuantileSketch,
     samples: Vec<f64>,
 }
 
@@ -46,23 +36,7 @@ impl MetricAggregate {
     /// Accumulates one observation.
     pub fn push(&mut self, x: f64) {
         self.moments.push(x);
-        self.sketch.push(x);
         self.samples.push(x);
-    }
-
-    /// Merges another aggregate that covers the trials *after* this
-    /// one's (callers merge in canonical shard order).
-    pub fn merge(&mut self, other: &MetricAggregate) {
-        self.moments.merge(&other.moments);
-        self.sketch.merge(&other.sketch);
-        self.samples.extend_from_slice(&other.samples);
-    }
-
-    /// The sketch-estimated p-th percentile — what reports will switch
-    /// to when raw samples are dropped at million-trial scale. Within
-    /// ~1% rank error of [`percentile`](Self::percentile).
-    pub fn approx_percentile(&self, p: f64) -> f64 {
-        self.sketch.percentile(p)
     }
 
     /// The retained samples, sorted ascending (one sort feeds every
@@ -81,16 +55,6 @@ impl MetricAggregate {
         }
         let rank = ((p / 100.0) * (sorted.len() as f64 - 1.0)).round() as usize;
         sorted[rank]
-    }
-
-    /// The p-th percentile (nearest-rank), 0 for an empty aggregate.
-    pub fn percentile(&self, p: f64) -> f64 {
-        Self::rank_of(&self.sorted_samples(), p)
-    }
-
-    /// The median of the retained samples.
-    pub fn median(&self) -> f64 {
-        self.percentile(50.0)
     }
 
     /// Summary-statistics view (serializable).
@@ -143,7 +107,7 @@ pub struct MetricStats {
     pub p99: f64,
 }
 
-/// The mergeable aggregate of one job's trials.
+/// The aggregate of one job's trials.
 #[derive(Debug, Clone, Default)]
 pub struct JobAggregate {
     /// Node-averaged awake complexity per trial.
@@ -185,27 +149,13 @@ impl JobAggregate {
         self.base_timeouts += r.base_timeouts as u64;
     }
 
-    /// Merges a later shard's aggregate (canonical order: callers merge
-    /// in shard-index order).
-    pub fn merge(&mut self, other: &JobAggregate) {
-        self.node_avg_awake.merge(&other.node_avg_awake);
-        self.worst_awake.merge(&other.worst_awake);
-        self.worst_round.merge(&other.worst_round);
-        self.node_avg_round.merge(&other.node_avg_round);
-        self.messages.merge(&other.messages);
-        self.mis_size.merge(&other.mis_size);
-        self.valid_trials += other.valid_trials;
-        self.trials += other.trials;
-        self.base_timeouts += other.base_timeouts;
-    }
-
     /// Fraction of trials whose output verified as an MIS.
     pub fn valid_fraction(&self) -> f64 {
         self.valid_trials as f64 / (self.trials.max(1)) as f64
     }
 }
 
-/// The mergeable aggregate of one dynamic job's trials: one
+/// The aggregate of one dynamic job's trials: one
 /// [`JobAggregate`] per phase, repair-specific per-phase metrics, and
 /// whole-trial totals.
 #[derive(Debug, Clone, Default)]
@@ -255,23 +205,6 @@ impl DynamicJobAggregate {
         self.trials += 1;
     }
 
-    /// Merges a later shard's aggregate (canonical order, as with
-    /// [`JobAggregate::merge`]).
-    pub fn merge(&mut self, other: &DynamicJobAggregate) {
-        if self.phases.len() < other.phases.len() {
-            self.phases.resize_with(other.phases.len(), JobAggregate::new);
-        }
-        for (mine, theirs) in self.phases.iter_mut().zip(&other.phases) {
-            mine.merge(theirs);
-        }
-        self.repair_scope.merge(&other.repair_scope);
-        self.carried.merge(&other.carried);
-        self.updates.merge(&other.updates);
-        self.total_avg_awake.merge(&other.total_avg_awake);
-        self.valid_trials += other.valid_trials;
-        self.trials += other.trials;
-    }
-
     /// Fraction of trials valid on every phase.
     pub fn valid_fraction(&self) -> f64 {
         self.valid_trials as f64 / (self.trials.max(1)) as f64
@@ -306,26 +239,21 @@ mod tests {
     }
 
     #[test]
-    fn sharded_merge_matches_sequential_push() {
+    fn push_counts_trials_and_ranks_quantiles() {
         let reports: Vec<ComplexityReport> =
             (0..40).map(|i| report(1.0 + (i % 7) as f64, i % 5 != 0)).collect();
-        let mut whole = JobAggregate::new();
-        reports.iter().for_each(|r| whole.push(r));
-        // Shard into 4, merge in order.
-        let mut merged = JobAggregate::new();
-        for chunk in reports.chunks(10) {
-            let mut shard = JobAggregate::new();
-            chunk.iter().for_each(|r| shard.push(r));
-            merged.merge(&shard);
-        }
-        assert_eq!(merged.trials, whole.trials);
-        assert_eq!(merged.valid_trials, whole.valid_trials);
-        assert_eq!(merged.base_timeouts, whole.base_timeouts);
-        assert_eq!(merged.node_avg_awake.stats().p50, whole.node_avg_awake.stats().p50);
-        assert_eq!(merged.node_avg_awake.stats().p99, whole.node_avg_awake.stats().p99);
-        assert!(
-            (merged.node_avg_awake.moments.mean - whole.node_avg_awake.moments.mean).abs() < 1e-12
-        );
+        let mut agg = JobAggregate::new();
+        reports.iter().for_each(|r| agg.push(r));
+        assert_eq!((agg.trials, agg.valid_trials, agg.base_timeouts), (40, 32, 8));
+        assert_eq!(agg.valid_fraction(), 0.8);
+        // Values 1..=7, 6 or 5 copies each: nearest rank 20 of 0..40 is
+        // the 21st smallest (a 4), rank 39 the largest.
+        let stats = agg.node_avg_awake.stats();
+        assert_eq!((stats.p50, stats.p99), (4.0, 7.0));
+        assert_eq!((stats.min, stats.max), (1.0, 7.0));
+        assert_eq!(agg.worst_awake.stats().p99, 14.0);
+        let mean = reports.iter().map(|r| r.summary.node_avg_awake).sum::<f64>() / 40.0;
+        assert!((stats.mean - mean).abs() < 1e-12);
     }
 
     #[test]
@@ -344,7 +272,7 @@ mod tests {
     }
 
     #[test]
-    fn dynamic_aggregate_merge_matches_sequential_push() {
+    fn dynamic_push_counts_one_update_per_churn_phase() {
         use crate::measure::{DynamicReport, PhaseReport, UpdateKind, UpdateRecord};
         let trial = |t: usize| DynamicReport {
             phases: (0..3)
@@ -366,57 +294,21 @@ mod tests {
                 })
                 .collect(),
         };
-        let reports: Vec<DynamicReport> = (0..30).map(trial).collect();
-        let mut whole = DynamicJobAggregate::new();
-        reports.iter().for_each(|r| whole.push(r));
-        let mut merged = DynamicJobAggregate::new();
-        for chunk in reports.chunks(7) {
-            let mut shard = DynamicJobAggregate::new();
-            chunk.iter().for_each(|r| shard.push(r));
-            merged.merge(&shard);
-        }
-        assert_eq!(merged.trials, whole.trials);
-        assert_eq!(merged.valid_trials, whole.valid_trials);
-        assert_eq!(merged.phases.len(), 3);
-        for (m, w) in merged.phases.iter().zip(&whole.phases) {
-            assert_eq!(m.trials, w.trials);
-            assert_eq!(m.node_avg_awake.stats().p50, w.node_avg_awake.stats().p50);
-        }
-        assert_eq!(merged.repair_scope.means(), whole.repair_scope.means());
-        assert_eq!(merged.carried.phase(1).unwrap().mean, 5.0);
-        assert_eq!(merged.updates.count(), whole.updates.count());
-        assert_eq!(merged.updates.count(), 60, "one update per churn phase per trial");
-        assert_eq!(merged.updates.zero_scope, whole.updates.zero_scope);
-        assert!((merged.updates.amortized_awake() - whole.updates.amortized_awake()).abs() < 1e-12);
-        assert!(
-            (merged.total_avg_awake.moments.mean - whole.total_avg_awake.moments.mean).abs()
-                < 1e-12
-        );
-        assert!(whole.valid_fraction() < 1.0);
-    }
-
-    #[test]
-    fn sketch_tracks_exact_percentiles() {
-        let mut whole = MetricAggregate::new();
-        for i in 0..5000u64 {
-            whole.push(((i * 37) % 1000) as f64);
-        }
-        assert_eq!(whole.sketch.count(), 5000);
-        // Shard-and-merge keeps the same estimates within sketch error.
-        let mut merged = MetricAggregate::new();
-        for chunk in 0..5 {
-            let mut shard = MetricAggregate::new();
-            for i in (chunk * 1000)..((chunk + 1) * 1000u64) {
-                shard.push(((i * 37) % 1000) as f64);
-            }
-            merged.merge(&shard);
-        }
-        assert_eq!(merged.sketch.count(), 5000);
-        for p in [50.0, 90.0, 99.0] {
-            // Values span 0..1000, so 2% rank error is ~20 in value.
-            assert!((whole.approx_percentile(p) - whole.percentile(p)).abs() <= 20.0, "p{p}");
-            assert!((merged.approx_percentile(p) - merged.percentile(p)).abs() <= 30.0, "p{p}");
-        }
+        let mut agg = DynamicJobAggregate::new();
+        (0..30).for_each(|t| agg.push(&trial(t)));
+        assert_eq!(agg.trials, 30);
+        assert_eq!(agg.phases.len(), 3);
+        assert!(agg.phases.iter().all(|p| p.trials == 30));
+        let close = |got: Vec<f64>, want: [f64; 3]| {
+            let near = got.iter().zip(want).all(|(g, w)| (g - w).abs() < 1e-12);
+            assert!(got.len() == 3 && near, "{got:?}");
+        };
+        close(agg.repair_scope.means(), [10.0, 3.0, 3.0]);
+        close(agg.carried.means(), [0.0, 5.0, 5.0]);
+        assert_eq!(agg.updates.count(), 60, "one update per churn phase per trial");
+        assert_eq!(agg.updates.zero_scope, 20);
+        assert!((agg.updates.amortized_awake() - 1.5).abs() < 1e-12);
+        assert!(agg.valid_fraction() < 1.0);
     }
 
     #[test]

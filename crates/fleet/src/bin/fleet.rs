@@ -9,6 +9,7 @@
 #![forbid(unsafe_code)]
 
 use sleepy_baselines::BaselineKind;
+use sleepy_fleet::outln;
 use sleepy_fleet::procs::read_plan_file;
 use sleepy_fleet::sink::{
     write_aggregate_csv, write_aggregate_json, write_dynamic_aggregate_json, JsonlSink,
@@ -313,7 +314,7 @@ fn parse_args() -> Result<Option<Args>, String> {
         let mut value = |flag: &str| it.next().ok_or_else(|| format!("missing value for {flag}"));
         match flag.as_str() {
             "--help" | "-h" => {
-                println!("{USAGE}");
+                outln!("{USAGE}");
                 return Ok(None);
             }
             "--families" => {
@@ -545,8 +546,11 @@ fn run_trace_check() -> ExitCode {
     for arg in std::env::args().skip(2) {
         match arg.as_str() {
             "--help" | "-h" => {
-                println!("{USAGE}");
+                outln!("{USAGE}");
                 return ExitCode::SUCCESS;
+            }
+            other if other.starts_with('-') => {
+                return fail(format!("unknown `fleet trace-check` flag `{other}` (try --help)"));
             }
             other => files.push(PathBuf::from(other)),
         }
@@ -560,7 +564,7 @@ fn run_trace_check() -> ExitCode {
             Err(e) => return fail(format!("cannot read {}: {e}", path.display())),
         };
         match sleepy_telemetry::validate_trace(&text) {
-            Ok(check) => println!(
+            Ok(check) => outln!(
                 "{}: OK — {} events, {} spans, {} counters, {} timelines, categories [{}]",
                 path.display(),
                 check.events,
@@ -640,7 +644,7 @@ fn parse_sub_args(what: &str, allowed: &[&str]) -> Result<SubArgs, String> {
             "--chaos-kill" => args.chaos_kill = Some(PathBuf::from(value("--chaos-kill")?)),
             "--chaos-wedge" => args.chaos_wedge = Some(PathBuf::from(value("--chaos-wedge")?)),
             "--help" | "-h" => {
-                println!("{USAGE}");
+                outln!("{USAGE}");
                 std::process::exit(0);
             }
             other => return Err(format!("unknown `fleet {what}` flag `{other}` (try --help)")),
@@ -712,12 +716,8 @@ fn run_worker() -> ExitCode {
         Ok(store) => store,
         Err(e) => return fail(e),
     };
-    let config = FleetConfig {
-        threads: sub.threads,
-        shard_size: sub.shard_size,
-        max_in_flight: 0,
-        progress: sub.progress,
-    };
+    let config =
+        FleetConfig { threads: sub.threads, shard_size: sub.shard_size, progress: sub.progress };
     if chaos_kill_now {
         // Execute exactly the first half of this worker's shard —
         // shard 2k/2N is a prefix of shard k/N — then die with a
@@ -801,12 +801,8 @@ fn run_merge() -> ExitCode {
             Err(e) => return fail(e),
         }
     }
-    let config = FleetConfig {
-        threads: sub.threads,
-        shard_size: sub.shard_size,
-        max_in_flight: 0,
-        progress: sub.progress,
-    };
+    let config =
+        FleetConfig { threads: sub.threads, shard_size: sub.shard_size, progress: sub.progress };
     let out = match run_plan_cached(&plan, &config, &mut [], Some(&mut merged), true) {
         Ok(out) => out,
         Err(e) => return fail(format!("merge replay failed: {e}")),
@@ -901,7 +897,7 @@ fn run_record_tape() -> ExitCode {
         let result = (|| -> Result<bool, String> {
             match flag.as_str() {
                 "--help" | "-h" => {
-                    println!("{USAGE}");
+                    outln!("{USAGE}");
                     return Ok(false);
                 }
                 "--algo" => {
@@ -1067,7 +1063,7 @@ fn run_chaos() -> ExitCode {
                 |v: String, flag: &str| v.parse::<usize>().map_err(|_| format!("bad {flag} `{v}`"));
             match flag.as_str() {
                 "--help" | "-h" => {
-                    println!("{USAGE}");
+                    outln!("{USAGE}");
                     return Ok(false);
                 }
                 "--dir" => dir = Some(PathBuf::from(value("--dir")?)),
@@ -1118,7 +1114,7 @@ fn run_chaos() -> ExitCode {
     }
     match sleepy_fleet::chaos::run_chaos_matrix(&cfg) {
         Ok(report) => {
-            println!("{report}");
+            outln!("{report}");
             if report.passed() {
                 ExitCode::SUCCESS
             } else {
@@ -1139,7 +1135,7 @@ fn run_replay() -> ExitCode {
     while let Some(arg) = it.next() {
         match arg.as_str() {
             "--help" | "-h" => {
-                println!("{USAGE}");
+                outln!("{USAGE}");
                 return ExitCode::SUCCESS;
             }
             "--threads" => {
@@ -1148,6 +1144,9 @@ fn run_replay() -> ExitCode {
                     Ok(t) => t,
                     Err(_) => return fail(format!("bad --threads `{v}`")),
                 };
+            }
+            other if other.starts_with('-') => {
+                return fail(format!("unknown `fleet replay` flag `{other}` (try --help)"));
             }
             other => files.push(PathBuf::from(other)),
         }
@@ -1163,9 +1162,9 @@ fn run_replay() -> ExitCode {
     match lines {
         Ok(lines) => {
             for line in lines {
-                println!("{line}");
+                outln!("{line}");
             }
-            println!("replay: {} tapes OK", files.len());
+            outln!("replay: {} tapes OK", files.len());
             ExitCode::SUCCESS
         }
         Err(msg) => fail(msg),
@@ -1224,16 +1223,12 @@ fn run_dynamic(args: &Args) -> ExitCode {
     );
     if args.dry_run {
         for (i, job) in plan.jobs.iter().enumerate() {
-            println!("job {i:4}  {}  x{}", job.label(), job.trials);
+            outln!("job {i:4}  {}  x{}", job.label(), job.trials);
         }
         return ExitCode::SUCCESS;
     }
-    let config = FleetConfig {
-        threads: args.threads,
-        shard_size: args.shard_size,
-        max_in_flight: 0,
-        progress: args.progress,
-    };
+    let config =
+        FleetConfig { threads: args.threads, shard_size: args.shard_size, progress: args.progress };
 
     let mut store = match open_store(&args.store) {
         Ok(store) => store,
@@ -1291,10 +1286,10 @@ fn run_dynamic(args: &Args) -> ExitCode {
             ]);
         }
     }
-    println!("{}", table.render());
+    outln!("{}", table.render());
     for j in &report.jobs {
         if j.updates.count > 0 {
-            println!(
+            outln!(
                 "{}: {} updates absorbed, amortized {:.4} awake rounds/update \
                  (max {:.1}, mean scope {:.2}, {} free)",
                 j.label,
@@ -1363,7 +1358,7 @@ fn print_static_table(report: &FleetReport) {
             format!("{:.0}%", 100.0 * j.valid_fraction),
         ]);
     }
-    println!("{}", table.render());
+    outln!("{}", table.render());
 }
 
 /// Writes `aggregates.json` + `aggregates.csv` (and, for cached runs,
@@ -1416,16 +1411,12 @@ fn run_static(args: &Args) -> ExitCode {
     }
     if args.dry_run {
         for (i, job) in plan.jobs.iter().enumerate() {
-            println!("job {i:4}  {}  x{}", job.label(), job.trials);
+            outln!("job {i:4}  {}  x{}", job.label(), job.trials);
         }
         return ExitCode::SUCCESS;
     }
-    let config = FleetConfig {
-        threads: args.threads,
-        shard_size: args.shard_size,
-        max_in_flight: 0,
-        progress: args.progress,
-    };
+    let config =
+        FleetConfig { threads: args.threads, shard_size: args.shard_size, progress: args.progress };
 
     let mut store = match open_store(&args.store) {
         Ok(store) => store,

@@ -190,8 +190,7 @@ fn expect_bytes(what: &str, got: &[u8], want: &[u8]) -> Result<(), String> {
 pub fn run_chaos_matrix(cfg: &ChaosConfig) -> Result<ChaosReport, FleetError> {
     std::fs::create_dir_all(&cfg.dir)?;
     let plan = matrix_plan(cfg);
-    let fleet_config =
-        FleetConfig { threads: cfg.threads, shard_size: 8, max_in_flight: 0, progress: false };
+    let fleet_config = FleetConfig { threads: cfg.threads, shard_size: 8, progress: false };
 
     // The fault-free oracle every infrastructure leg must reproduce.
     let oracle = run_artifacts(&plan, &fleet_config, None, false)?;

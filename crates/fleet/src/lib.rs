@@ -12,11 +12,11 @@
 //!   SplitMix64 [`SeedStream`], so trial `t` of job `j` sees the same
 //!   randomness regardless of how trials are scheduled onto threads.
 //! * [`run_plan`] — a work-stealing thread-pool executor. Trials are
-//!   grouped into fixed shards claimed dynamically by workers; a bounded
-//!   in-flight budget keeps memory flat while an in-order collector
-//!   merges shard aggregates in shard-index order, making every output
-//!   **byte-identical across thread counts**.
-//! * [`JobAggregate`] — mergeable streaming aggregates
+//!   grouped into fixed shards claimed dynamically by workers, at most
+//!   two shards per thread ahead of an in-order collector that pushes
+//!   every trial into its job's aggregate in global trial order, making
+//!   every output **byte-identical across thread counts**.
+//! * [`JobAggregate`] — push-only streaming aggregates
 //!   (count/mean/M2/min/max plus exact p50/p99) per metric, built on
 //!   [`sleepy_stats::StreamingMoments`].
 //! * [`sink`] — result sinks: a JSONL per-trial log and aggregate

@@ -22,6 +22,13 @@ pub fn resolve_threads(requested: usize) -> usize {
     }
 }
 
+/// The in-flight window every runner passes to [`run_shards_ordered`]:
+/// two shard outputs per worker, so each worker can finish one shard
+/// and start the next while the collector waits on the head shard.
+pub(crate) fn in_flight_window(threads: usize) -> usize {
+    2 * resolve_threads(threads)
+}
+
 /// Applies `f` to every index in `0..count` on `threads` workers
 /// (0 = auto), returning results in index order and the smallest-index
 /// error if any trial fails. This is the shared low-level primitive for
@@ -39,8 +46,7 @@ where
     F: Fn(usize) -> Result<T, E> + Sync,
 {
     let mut out = Vec::with_capacity(count);
-    let window = 2 * resolve_threads(threads);
-    run_shards_ordered(count, threads, window, f, |_, v| {
+    run_shards_ordered(count, threads, in_flight_window(threads), f, |_, v| {
         out.push(v);
         Ok(())
     })?;

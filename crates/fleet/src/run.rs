@@ -5,7 +5,7 @@ use crate::agg::{DynamicJobAggregate, JobAggregate, MetricStats};
 use crate::cache::{self, CacheStats};
 use crate::error::FleetError;
 use crate::measure::{measure_dynamic, measure_once, ComplexityReport, DynamicReport};
-use crate::pool::{resolve_threads, run_shards_ordered};
+use crate::pool::{in_flight_window, run_shards_ordered};
 use crate::seed::SeedStream;
 use crate::sink::{PhaseRecord, PhaseSink, TrialRecord, TrialSink};
 use crate::spec::{DynamicPlan, TrialPlan};
@@ -15,7 +15,8 @@ use std::time::Duration;
 
 /// Runner configuration. Everything here affects only *how fast* a plan
 /// runs, never *what* it computes: outputs are byte-identical across
-/// all settings.
+/// all settings. Workers run at most two shards per thread ahead of the
+/// in-order collector, which bounds the memory finished shards hold.
 #[derive(Debug, Clone)]
 pub struct FleetConfig {
     /// Worker threads (0 = all available cores).
@@ -25,17 +26,13 @@ pub struct FleetConfig {
     /// boundaries are derived from the plan alone, so this does not
     /// affect output either.
     pub shard_size: usize,
-    /// Maximum shards buffered ahead of the in-order collector
-    /// (0 = 2 × threads). Bounds memory on runs whose trial logs are
-    /// large.
-    pub max_in_flight: usize,
     /// Print live progress to stderr.
     pub progress: bool,
 }
 
 impl Default for FleetConfig {
     fn default() -> Self {
-        FleetConfig { threads: 0, shard_size: 16, max_in_flight: 0, progress: false }
+        FleetConfig { threads: 0, shard_size: 16, progress: false }
     }
 }
 
@@ -194,15 +191,13 @@ fn run_trials_sharded<R: Send>(
     let span = range_hi - range_lo;
     let shard_size = config.shard_size;
     let shard_count = span.div_ceil(shard_size);
-    let threads = resolve_threads(config.threads);
-    let max_in_flight = if config.max_in_flight == 0 { 2 * threads } else { config.max_in_flight };
     let mut done: u64 = 0;
     let mut last_percent: u64 = u64::MAX;
 
     run_shards_ordered(
         shard_count,
         config.threads,
-        max_in_flight,
+        in_flight_window(config.threads),
         |shard| -> Result<Shard<R>, FleetError> {
             let lo = range_lo + shard * shard_size;
             let hi = (lo + shard_size).min(range_hi);

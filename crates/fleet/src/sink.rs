@@ -1,4 +1,5 @@
-//! Result sinks: per-trial JSONL logs and aggregate JSON/CSV writers.
+//! Result sinks: per-trial JSONL logs, aggregate JSON/CSV writers, and
+//! the stdout writer the command-line runners print through.
 //!
 //! The runner feeds sinks in global trial order (and, within a dynamic
 //! trial, phase order), so every sink's output is byte-identical across
@@ -8,6 +9,25 @@ use crate::measure::{ComplexityReport, PhaseReport};
 use crate::run::{DynamicFleetReport, FleetReport};
 use crate::spec::{DynamicJobSpec, JobSpec};
 use std::io::{self, Write};
+
+/// Writes `args` to stdout as `print!` does, except that a reader that
+/// has gone away (`BrokenPipe`) is not an error: the files a run writes
+/// and its exit status must not depend on whether anyone still reads
+/// its stdout. Any other write failure panics, as `print!`'s does.
+pub fn print_stdout(args: std::fmt::Arguments<'_>) {
+    if let Err(e) = io::stdout().write_fmt(args) {
+        assert!(e.kind() == io::ErrorKind::BrokenPipe, "failed printing to stdout: {e}");
+    }
+}
+
+/// `println!` through [`print_stdout`](crate::sink::print_stdout): a
+/// closed stdout is not an error.
+#[macro_export]
+macro_rules! outln {
+    ($($arg:tt)*) => {
+        $crate::sink::print_stdout(format_args!("{}\n", format_args!($($arg)*)))
+    };
+}
 
 /// Context for one finished trial, as handed to sinks.
 pub struct TrialRecord<'a> {

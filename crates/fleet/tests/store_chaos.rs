@@ -30,7 +30,7 @@ fn plan() -> TrialPlan {
 }
 
 fn config() -> FleetConfig {
-    FleetConfig { threads: 1, shard_size: 4, max_in_flight: 0, progress: false }
+    FleetConfig { threads: 1, shard_size: 4, progress: false }
 }
 
 /// One cold run, captured once: the template store directory plus the

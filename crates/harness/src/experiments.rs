@@ -25,6 +25,7 @@ use crate::robustness::{run_robustness, RobustnessConfig, RobustnessReport};
 use crate::table1::{run_table1, Table1Config, Table1Report};
 use crate::theorems::{run_theorems, TheoremsConfig, TheoremsReport};
 use serde::Serialize;
+use sleepy_fleet::outln;
 use std::path::Path;
 
 /// A paper verdict: `Err(reason)` when a result contradicts the paper.
@@ -182,14 +183,15 @@ pub const EXPERIMENTS: &[Experiment] = &[
 
 /// Runs `selected` in order, printing each report and saving it under
 /// `dir`. Returns the process exit code: 1 if any experiment failed to
-/// run or to save, otherwise 2 if any verdict failed, otherwise 0.
+/// run or to save, otherwise 2 if any verdict failed, otherwise 0. A
+/// closed stdout changes neither the files saved nor the exit code.
 pub fn run_all(selected: &[Experiment], quick: bool, dir: &Path) -> u8 {
     let (mut failed, mut contradicted) = (0usize, 0usize);
     for experiment in selected {
         let name = experiment.name;
-        println!("\n################ {name} ################");
+        outln!("\n################ {name} ################");
         let saved = (experiment.run)(quick).and_then(|outcome| {
-            println!("{}", outcome.text);
+            outln!("{}", outcome.text);
             save_report(dir, name, &outcome.text, &outcome.json)?;
             Ok(outcome.verdict)
         });
@@ -205,7 +207,7 @@ pub fn run_all(selected: &[Experiment], quick: bool, dir: &Path) -> u8 {
             }
         }
     }
-    println!("\n################ summary ################");
+    outln!("\n################ summary ################");
     if failed > 0 {
         eprintln!("{failed} experiment(s) failed");
         1
@@ -213,7 +215,7 @@ pub fn run_all(selected: &[Experiment], quick: bool, dir: &Path) -> u8 {
         eprintln!("{contradicted} experiment(s) contradict the paper");
         2
     } else {
-        println!(
+        outln!(
             "{} experiment(s) agree with the paper; reports in {}",
             selected.len(),
             dir.display()

@@ -41,3 +41,26 @@ fn figure1_quick_writes_its_reports() {
     assert!(json.contains("\"labels_match_paper\": true"), "{json}");
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+#[test]
+fn figure1_quick_writes_its_reports_when_stdout_is_closed() {
+    let dir = std::env::temp_dir().join(format!("experiments-cli-closed-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    // Every stdout write fails with BrokenPipe: the read end is gone.
+    let (reader, writer) = std::io::pipe().unwrap();
+    drop(reader);
+    let output = Command::new(env!("CARGO_BIN_EXE_experiments"))
+        .args(["figure1", "--quick"])
+        .current_dir(&dir)
+        .stdout(writer)
+        .output()
+        .expect("experiments runs");
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert_eq!(output.status.code(), Some(0), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    for file in ["results/figure1.txt", "results/figure1.json"] {
+        assert!(dir.join(file).exists(), "{file} missing: {stderr}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -244,6 +244,17 @@ Fenced re-enforcement inside exempt files:
     ...
     // sleepy-lint: end-deny(<rule>)";
 
+/// Writes `args` to stdout as `print!` does, except that a reader that
+/// has gone away (`BrokenPipe`) is not an error: `--list-rules | head -1`
+/// must neither panic nor change the exit code. Any other write failure
+/// panics, as `print!`'s does.
+fn print_stdout(args: std::fmt::Arguments<'_>) {
+    use std::io::Write;
+    if let Err(e) = std::io::stdout().write_fmt(args) {
+        assert!(e.kind() == std::io::ErrorKind::BrokenPipe, "failed printing to stdout: {e}");
+    }
+}
+
 /// The shared CLI driver behind `sleepy-lint` and `fleet lint`.
 /// `args` excludes the program/subcommand name. Returns the exit code.
 pub fn run_cli(args: &[String]) -> i32 {
@@ -253,12 +264,12 @@ pub fn run_cli(args: &[String]) -> i32 {
     while let Some(flag) = it.next() {
         match flag.as_str() {
             "--help" | "-h" => {
-                println!("{USAGE}");
+                print_stdout(format_args!("{USAGE}\n"));
                 return 0;
             }
             "--list-rules" => {
                 for r in RULES {
-                    println!("{:24} {}", r.name, r.summary);
+                    print_stdout(format_args!("{:24} {}\n", r.name, r.summary));
                 }
                 return 0;
             }
@@ -300,10 +311,10 @@ pub fn run_cli(args: &[String]) -> i32 {
         }
     };
     if json {
-        print!("{}", report.to_json());
+        print_stdout(format_args!("{}", report.to_json()));
     } else {
         for d in &report.diagnostics {
-            println!("{}", d.render());
+            print_stdout(format_args!("{}\n", d.render()));
         }
     }
     if report.is_clean() {

@@ -15,7 +15,6 @@
 
 mod fit;
 mod phases;
-mod sketch;
 mod streaming;
 mod summary;
 mod table;
@@ -23,7 +22,6 @@ mod updates;
 
 pub use fit::{fit_log_power, fit_power, linear_regression, GrowthFit, LinearFit};
 pub use phases::PhaseSeries;
-pub use sketch::{QuantileSketch, DEFAULT_SKETCH_K};
 pub use streaming::StreamingMoments;
 pub use summary::Summary;
 pub use table::TextTable;

@@ -3,14 +3,14 @@
 use crate::StreamingMoments;
 use serde::{Deserialize, Serialize};
 
-/// A mergeable sequence of [`StreamingMoments`], one per phase of a
-/// dynamic workload.
+/// A sequence of [`StreamingMoments`], one per phase of a dynamic
+/// workload.
 ///
 /// Trials of a dynamic job each contribute one observation per phase;
 /// the series keeps the phases separate so experiments can report how a
 /// metric (awake complexity, repair scope, …) evolves across churn
-/// events. Like [`StreamingMoments`], merging in a canonical order keeps
-/// results byte-identical across thread counts.
+/// events. Like [`StreamingMoments`], pushing in global trial order
+/// keeps results byte-identical across thread counts.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct PhaseSeries {
     /// One accumulator per phase index.
@@ -23,16 +23,6 @@ impl PhaseSeries {
         Self::default()
     }
 
-    /// Number of phases observed so far.
-    pub fn len(&self) -> usize {
-        self.phases.len()
-    }
-
-    /// Whether no phase has been observed.
-    pub fn is_empty(&self) -> bool {
-        self.phases.is_empty()
-    }
-
     /// Accumulates one observation for `phase`, growing the series with
     /// empty accumulators as needed.
     pub fn push(&mut self, phase: usize, x: f64) {
@@ -40,27 +30,6 @@ impl PhaseSeries {
             self.phases.resize_with(phase + 1, StreamingMoments::new);
         }
         self.phases[phase].push(x);
-    }
-
-    /// The accumulator of `phase`, if any observation reached it.
-    pub fn phase(&self, phase: usize) -> Option<&StreamingMoments> {
-        self.phases.get(phase)
-    }
-
-    /// Iterates `(phase index, accumulator)` in phase order.
-    pub fn iter(&self) -> impl Iterator<Item = (usize, &StreamingMoments)> {
-        self.phases.iter().enumerate()
-    }
-
-    /// Merges another series phase-by-phase (callers merge in canonical
-    /// shard order, as with [`StreamingMoments::merge`]).
-    pub fn merge(&mut self, other: &PhaseSeries) {
-        if other.phases.len() > self.phases.len() {
-            self.phases.resize_with(other.phases.len(), StreamingMoments::new);
-        }
-        for (mine, theirs) in self.phases.iter_mut().zip(&other.phases) {
-            mine.merge(theirs);
-        }
     }
 
     /// Per-phase means, in phase order (0 for phases with no data).
@@ -76,52 +45,12 @@ mod tests {
     #[test]
     fn push_grows_and_separates_phases() {
         let mut s = PhaseSeries::new();
+        assert!(s.means().is_empty());
         s.push(0, 1.0);
         s.push(2, 5.0);
         s.push(0, 3.0);
-        assert_eq!(s.len(), 3);
-        assert_eq!(s.phase(0).unwrap().count, 2);
-        assert_eq!(s.phase(1).unwrap().count, 0);
-        assert_eq!(s.phase(2).unwrap().count, 1);
+        let counts: Vec<u64> = s.phases.iter().map(|p| p.count).collect();
+        assert_eq!(counts, vec![2, 0, 1]);
         assert_eq!(s.means(), vec![2.0, 0.0, 5.0]);
-        assert!(s.iter().count() == 3 && !s.is_empty());
-    }
-
-    #[test]
-    fn merge_matches_sequential_push() {
-        let mut whole = PhaseSeries::new();
-        let mut left = PhaseSeries::new();
-        let mut right = PhaseSeries::new();
-        for t in 0..20 {
-            for phase in 0..4 {
-                let x = ((t * 7 + phase * 3) % 11) as f64;
-                whole.push(phase, x);
-                if t < 9 {
-                    left.push(phase, x);
-                } else {
-                    right.push(phase, x);
-                }
-            }
-        }
-        right.push(5, 42.0); // ragged lengths merge too
-        whole.push(5, 42.0);
-        left.merge(&right);
-        assert_eq!(left.len(), whole.len());
-        for (i, p) in whole.iter() {
-            let l = left.phase(i).unwrap();
-            assert_eq!(l.count, p.count, "phase {i}");
-            assert!((l.mean - p.mean).abs() < 1e-12);
-            assert!((l.std_dev() - p.std_dev()).abs() < 1e-9);
-        }
-    }
-
-    #[test]
-    fn merge_into_empty_copies() {
-        let mut a = PhaseSeries::new();
-        let mut b = PhaseSeries::new();
-        b.push(1, 2.0);
-        a.merge(&b);
-        assert_eq!(a.len(), 2);
-        assert_eq!(a.phase(1).unwrap().mean, 2.0);
     }
 }

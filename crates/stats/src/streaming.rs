@@ -1,20 +1,16 @@
-//! Mergeable streaming moment accumulators for sharded trial execution.
+//! Streaming moment accumulators for trial aggregation.
 //!
 //! The fleet runtime aggregates metrics across thousands of trials that
-//! finish on different worker threads in scheduling-dependent order. To
-//! keep aggregate output *byte-identical* regardless of thread count, a
-//! shard accumulates its trials in trial order into a
-//! [`StreamingMoments`], and shards are merged in shard-index order —
-//! the merge is mathematically associative (Chan et al. pairwise
-//! update), and fixing the merge order also pins down the floating-point
-//! rounding, so the combined result does not depend on which worker ran
-//! which shard.
+//! finish on different worker threads in scheduling-dependent order. Its
+//! in-order collector pushes every trial into a [`StreamingMoments`] in
+//! global trial order, so the floating-point rounding of the running
+//! mean and M2 — and with it every aggregate byte — depends on the plan
+//! alone, never on thread count or shard size.
 
 use crate::Summary;
 use serde::{Deserialize, Serialize};
 
-/// Streaming count/mean/M2/min/max in O(1) memory, combinable with other
-/// accumulators.
+/// Streaming count/mean/M2/min/max in O(1) memory.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct StreamingMoments {
     /// Number of observations.
@@ -55,27 +51,6 @@ impl StreamingMoments {
         self.m2 += delta * (x - self.mean);
         self.min = self.min.min(x);
         self.max = self.max.max(x);
-    }
-
-    /// Combines two accumulators (Chan et al. parallel update). The
-    /// result summarizes the concatenation of both sample streams.
-    pub fn merge(&mut self, other: &StreamingMoments) {
-        if other.count == 0 {
-            return;
-        }
-        if self.count == 0 {
-            *self = *other;
-            return;
-        }
-        let n1 = self.count as f64;
-        let n2 = other.count as f64;
-        let delta = other.mean - self.mean;
-        let total = n1 + n2;
-        self.mean += delta * (n2 / total);
-        self.m2 += other.m2 + delta * delta * (n1 * n2 / total);
-        self.count += other.count;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
     }
 
     /// Sample standard deviation (n−1 denominator; 0 if count < 2).
@@ -144,69 +119,16 @@ mod tests {
     }
 
     #[test]
-    fn merge_equals_sequential() {
-        let data: Vec<f64> = (0..100).map(|i| ((i * 37) % 11) as f64 / 3.0).collect();
-        let mut whole = StreamingMoments::new();
-        for &x in &data {
-            whole.push(x);
-        }
-        for split in [1, 13, 50, 99] {
-            let (a, b) = data.split_at(split);
-            let mut left = StreamingMoments::new();
-            a.iter().for_each(|&x| left.push(x));
-            let mut right = StreamingMoments::new();
-            b.iter().for_each(|&x| right.push(x));
-            left.merge(&right);
-            assert_eq!(left.count, whole.count);
-            assert_close(left.mean, whole.mean);
-            assert_close(left.std_dev(), whole.std_dev());
-            assert_close(left.min, whole.min);
-            assert_close(left.max, whole.max);
-        }
-    }
-
-    #[test]
-    fn merge_order_is_bit_stable_for_fixed_order() {
-        // Merging the same shards in the same order twice gives identical
-        // bits — the property the fleet's canonical shard-order reduction
-        // relies on.
-        let shards: Vec<StreamingMoments> = (0..8)
-            .map(|s| {
-                let mut acc = StreamingMoments::new();
-                for i in 0..10 {
-                    acc.push(((s * 31 + i * 7) % 13) as f64 / 7.0);
-                }
-                acc
-            })
-            .collect();
-        let reduce = || {
-            let mut total = StreamingMoments::new();
-            for s in &shards {
-                total.merge(s);
-            }
-            total
-        };
-        let a = reduce();
-        let b = reduce();
-        assert_eq!(a.mean.to_bits(), b.mean.to_bits());
-        assert_eq!(a.m2.to_bits(), b.m2.to_bits());
-    }
-
-    #[test]
-    fn empty_and_identity_merges() {
-        let mut a = StreamingMoments::new();
+    fn empty_reads_zero() {
         let empty = StreamingMoments::new();
-        a.merge(&empty);
-        assert_eq!(a.count, 0);
-        assert_eq!(a.min_or_zero(), 0.0);
-        assert_eq!(a.max_or_zero(), 0.0);
-        a.push(3.0);
-        a.merge(&empty);
-        assert_eq!(a.count, 1);
-        assert_close(a.mean, 3.0);
-        let mut b = StreamingMoments::new();
-        b.merge(&a);
-        assert_close(b.mean, 3.0);
-        assert_eq!(b.to_summary(3.0).median, 3.0);
+        assert_eq!(empty.count, 0);
+        assert_eq!(empty.min_or_zero(), 0.0);
+        assert_eq!(empty.max_or_zero(), 0.0);
+        let s = empty.to_summary(0.0);
+        assert_eq!((s.count, s.mean, s.std_dev, s.min, s.max), (0, 0.0, 0.0, 0.0, 0.0));
+        let mut one = StreamingMoments::new();
+        one.push(3.0);
+        assert_close(one.mean, 3.0);
+        assert_eq!(one.to_summary(3.0).median, 3.0);
     }
 }

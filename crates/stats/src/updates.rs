@@ -4,18 +4,18 @@
 //! arrival/departure) absorbed by an incremental repair strategy. The
 //! Ghaffari–Portmann line of work states its dynamic sleeping-model
 //! bounds as *amortized awake rounds per update*; [`UpdateSeries`] is
-//! the mergeable accumulator that measures exactly that quantity
-//! across every update of every trial.
+//! the accumulator that measures exactly that quantity across every
+//! update of every trial.
 
 use crate::StreamingMoments;
 use serde::{Deserialize, Serialize};
 
-/// A mergeable aggregate of per-update repair costs.
+/// An aggregate of per-update repair costs.
 ///
 /// Each observation is one absorbed update: the total awake rounds the
 /// repair spent on it (summed over the nodes that woke) and the repair
-/// scope (how many nodes re-ran). Like [`StreamingMoments`], merging in
-/// a canonical order keeps results byte-identical across thread counts.
+/// scope (how many nodes re-ran). Like [`StreamingMoments`], pushing in
+/// global trial order keeps results byte-identical across thread counts.
 ///
 /// # Example
 ///
@@ -73,14 +73,6 @@ impl UpdateSeries {
             self.awake.mean
         }
     }
-
-    /// Merges a later shard's series (callers merge in canonical shard
-    /// order, as with [`StreamingMoments::merge`]).
-    pub fn merge(&mut self, other: &UpdateSeries) {
-        self.awake.merge(&other.awake);
-        self.scope.merge(&other.scope);
-        self.zero_scope += other.zero_scope;
-    }
 }
 
 #[cfg(test)]
@@ -100,22 +92,5 @@ mod tests {
         assert!((s.amortized_awake() - 2.0).abs() < 1e-12);
         assert!((s.scope.mean - 1.0).abs() < 1e-12);
         assert_eq!(s.awake.max_or_zero(), 4.0);
-    }
-
-    #[test]
-    fn merge_matches_sequential_push() {
-        let obs: Vec<(f64, usize)> = (0..50).map(|i| ((i % 7) as f64, i % 3)).collect();
-        let mut whole = UpdateSeries::new();
-        obs.iter().for_each(|&(a, s)| whole.push(a, s));
-        let mut merged = UpdateSeries::new();
-        for chunk in obs.chunks(13) {
-            let mut shard = UpdateSeries::new();
-            chunk.iter().for_each(|&(a, s)| shard.push(a, s));
-            merged.merge(&shard);
-        }
-        assert_eq!(merged.count(), whole.count());
-        assert_eq!(merged.zero_scope, whole.zero_scope);
-        assert!((merged.amortized_awake() - whole.amortized_awake()).abs() < 1e-12);
-        assert!((merged.scope.std_dev() - whole.scope.std_dev()).abs() < 1e-9);
     }
 }

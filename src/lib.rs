@@ -22,8 +22,8 @@
 //!   Ghaffari'16, on the same engine for comparable metrics.
 //! * [`verify`] — MIS checkers and lexicographically-first MIS references
 //!   (Corollary 1).
-//! * [`stats`] — summaries, mergeable streaming aggregates, quantile
-//!   sketches, growth-shape fits, table rendering.
+//! * [`stats`] — summaries, streaming moment accumulators, growth-shape
+//!   fits, table rendering.
 //! * [`store`] — the persistent content-addressed result store:
 //!   append-only self-checking JSONL segments, crash-safe manifests,
 //!   TTL/GC compaction, and multi-process merge.
