@@ -5,27 +5,34 @@
 //! fleet --families gnp8,geo8,tree --sizes 256,512 --algos all \
 //!       --trials 30 --threads 8 --out results/fleet
 //! ```
+//!
+//! Every entry point reads its arguments against its flag tables with
+//! one parser, [`parse`], which owns the `--help`, unknown-flag,
+//! missing-value and bad-value errors. Each `run_*` returns its error
+//! and `main` prints it as the one `fleet: <msg>` line.
 
 #![forbid(unsafe_code)]
 
 use sleepy_baselines::BaselineKind;
-use sleepy_fleet::outln;
 use sleepy_fleet::procs::read_plan_file;
 use sleepy_fleet::sink::{
     write_aggregate_csv, write_aggregate_json, write_dynamic_aggregate_json, JsonlSink,
-    PhaseJsonlSink,
+    PhaseJsonlSink, PhaseSink, TrialSink,
 };
 use sleepy_fleet::{
-    plan_to_json, run_dynamic_plan_cached, run_plan_cached, run_plan_shard, standard_families,
-    AlgoKind, CacheStats, DynamicPlan, Execution, FleetConfig, FleetReport, RepairStrategy,
-    TrialPlan, ALL_ALGOS, ALL_STRATEGIES, SLEEPING_ALGOS,
+    errln, outln, plan_to_json, run_dynamic_plan_cached, run_plan_cached, run_plan_shard,
+    standard_families, AlgoKind, CacheStats, DynamicPlan, Execution, FleetConfig, FleetReport,
+    RepairStrategy, TrialPlan, ALL_ALGOS, ALL_STRATEGIES, SLEEPING_ALGOS,
 };
 use sleepy_graph::{ChurnModel, ChurnSpec, GraphFamily};
+use sleepy_net::{CrashWindow, EngineConfig, FaultPlan, LinkWindow};
 use sleepy_stats::TextTable;
 use sleepy_store::Store;
+use std::fs::File;
 use std::io::BufWriter;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
+use std::str::FromStr;
 
 const USAGE: &str = "fleet — parallel batch execution of sleeping-model experiments
 
@@ -254,217 +261,209 @@ fn parse_algos(spec: &str) -> Result<Vec<AlgoKind>, String> {
     }
 }
 
+/// One entry of a flag table: the flag, and whether it takes a value.
+type Flag = (&'static str, bool);
+
+/// The [`FleetConfig`] flags of every entry point that runs a plan.
+const CONFIG: &[Flag] = &[("--threads", true), ("--shard-size", true), ("--no-progress", false)];
+
+/// The sweep's own flags. A flag in [`STATIC_ONLY`] or [`DYNAMIC_ONLY`]
+/// is rejected by the other kind of run, which would ignore it.
+const SWEEP: &[Flag] = &[
+    ("--families", true),
+    ("--sizes", true),
+    ("--algos", true),
+    ("--trials", true),
+    ("--seed", true),
+    ("--engine", false),
+    ("--out", true),
+    ("--store", true),
+    ("--no-cache", false),
+    ("--emit-plan", true),
+    ("--trace-out", true),
+    ("--round-timeline", false),
+    ("--protocol-trace", true),
+    ("--dry-run", false),
+    ("--dynamic", false),
+    ("--phases", true),
+    ("--edge-churn", true),
+    ("--node-churn", true),
+    ("--arrival-degree", true),
+    ("--repair", true),
+    ("--churn-model", true),
+];
+const STATIC_ONLY: &[&str] = &["--emit-plan", "--round-timeline", "--protocol-trace"];
+const DYNAMIC_ONLY: &[&str] =
+    &["--phases", "--edge-churn", "--node-churn", "--arrival-degree", "--repair", "--churn-model"];
+
+const WORKER: &[Flag] = &[
+    ("--plan", true),
+    ("--shard", true),
+    ("--store", true),
+    ("--trace-out", true),
+    ("--chaos-kill", true),
+    ("--chaos-wedge", true),
+];
+const MERGE: &[Flag] = &[
+    ("--plan", true),
+    ("--from", true),
+    ("--store", true),
+    ("--out", true),
+    ("--trace-out", true),
+    ("--trace-from", true),
+];
+const GC: &[Flag] = &[("--store", true), ("--ttl-secs", true)];
+const RECORD_TAPE: &[Flag] = &[
+    ("--algo", true),
+    ("--family", true),
+    ("--n", true),
+    ("--seed", true),
+    ("--loss", true),
+    ("--loss-seed", true),
+    ("--fault-burst", true),
+    ("--fault-seed", true),
+    ("--fault-crash", true),
+    ("--fault-partition", true),
+    ("--max-rounds", true),
+    ("--out", true),
+];
+const REPLAY: &[Flag] = &[("--threads", true)];
+const CHAOS: &[Flag] = &[
+    ("--dir", true),
+    ("--seed", true),
+    ("--n", true),
+    ("--trials", true),
+    ("--procs", true),
+    ("--threads", true),
+    ("--smoke", false),
+];
+
+/// The arguments of one entry point, read against its flag tables.
 struct Args {
-    families: Vec<GraphFamily>,
-    sizes: Vec<usize>,
-    algos: Vec<AlgoKind>,
-    trials: usize,
-    seed: u64,
-    threads: usize,
-    shard_size: usize,
-    execution: Execution,
-    out: Option<PathBuf>,
-    store: Option<PathBuf>,
-    no_cache: bool,
-    emit_plan: Option<PathBuf>,
-    trace_out: Option<PathBuf>,
-    round_timeline: bool,
-    protocol_trace: Option<PathBuf>,
-    progress: bool,
-    dry_run: bool,
-    dynamic: bool,
-    phases: usize,
-    edge_churn: f64,
-    node_churn: f64,
-    arrival_degree: usize,
-    churn_model: ChurnModel,
-    strategies: Vec<RepairStrategy>,
+    /// The entry point, as messages name it.
+    what: &'static str,
+    /// Every flag given, in order, with its value (empty for a switch).
+    flags: Vec<(&'static str, String)>,
+    /// The positional arguments of an entry point that takes files.
+    files: Vec<PathBuf>,
 }
 
-fn parse_args() -> Result<Option<Args>, String> {
-    let mut args = Args {
-        families: standard_families(),
-        sizes: vec![256, 512],
-        algos: ALL_ALGOS.to_vec(),
-        trials: 25,
-        seed: 0x51EE9,
-        threads: 0,
-        shard_size: 16,
-        execution: Execution::Auto,
-        out: None,
-        store: None,
-        no_cache: false,
-        emit_plan: None,
-        trace_out: None,
-        round_timeline: false,
-        protocol_trace: None,
-        progress: true,
-        dry_run: false,
-        dynamic: false,
-        phases: 4,
-        edge_churn: 0.05,
-        node_churn: 0.02,
-        arrival_degree: 3,
-        churn_model: ChurnModel::Uniform,
-        strategies: vec![RepairStrategy::Recompute, RepairStrategy::Repair],
-    };
-    let mut churn_flags: Vec<&str> = Vec::new();
-    let mut it = std::env::args().skip(1);
-    while let Some(flag) = it.next() {
-        let mut value = |flag: &str| it.next().ok_or_else(|| format!("missing value for {flag}"));
-        match flag.as_str() {
-            "--help" | "-h" => {
-                outln!("{USAGE}");
-                return Ok(None);
-            }
-            "--families" => {
-                args.families =
-                    value("--families")?.split(',').map(parse_family).collect::<Result<_, _>>()?;
-            }
-            "--sizes" => {
-                args.sizes = value("--sizes")?
-                    .split(',')
-                    .map(|s| s.parse::<usize>().map_err(|_| format!("bad size `{s}`")))
-                    .collect::<Result<_, _>>()?;
-            }
-            "--algos" => args.algos = parse_algos(&value("--algos")?)?,
-            "--trials" => {
-                args.trials =
-                    value("--trials")?.parse().map_err(|_| "bad --trials value".to_string())?;
-            }
-            "--seed" => {
-                let v = value("--seed")?;
-                args.seed = parse_u64_maybe_hex(&v).ok_or(format!("bad --seed `{v}`"))?;
-            }
-            "--threads" => {
-                args.threads =
-                    value("--threads")?.parse().map_err(|_| "bad --threads value".to_string())?;
-            }
-            "--shard-size" => {
-                args.shard_size = value("--shard-size")?
-                    .parse()
-                    .map_err(|_| "bad --shard-size value".to_string())?;
-            }
-            "--engine" => args.execution = Execution::ForceEngine,
-            "--out" => args.out = Some(PathBuf::from(value("--out")?)),
-            "--store" => args.store = Some(PathBuf::from(value("--store")?)),
-            "--no-cache" => args.no_cache = true,
-            "--emit-plan" => args.emit_plan = Some(PathBuf::from(value("--emit-plan")?)),
-            "--trace-out" => args.trace_out = Some(PathBuf::from(value("--trace-out")?)),
-            "--round-timeline" => args.round_timeline = true,
-            "--protocol-trace" => {
-                args.protocol_trace = Some(PathBuf::from(value("--protocol-trace")?));
-            }
-            "--no-progress" => args.progress = false,
-            "--dry-run" => args.dry_run = true,
-            "--dynamic" => args.dynamic = true,
-            "--phases" => {
-                churn_flags.push("--phases");
-                args.phases =
-                    value("--phases")?.parse().map_err(|_| "bad --phases value".to_string())?;
-                if args.phases == 0 {
-                    return Err("--phases must be >= 1".to_string());
-                }
-            }
-            "--edge-churn" => {
-                churn_flags.push("--edge-churn");
-                args.edge_churn = value("--edge-churn")?
-                    .parse()
-                    .map_err(|_| "bad --edge-churn value".to_string())?;
-            }
-            "--node-churn" => {
-                churn_flags.push("--node-churn");
-                args.node_churn = value("--node-churn")?
-                    .parse()
-                    .map_err(|_| "bad --node-churn value".to_string())?;
-            }
-            "--arrival-degree" => {
-                churn_flags.push("--arrival-degree");
-                args.arrival_degree = value("--arrival-degree")?
-                    .parse()
-                    .map_err(|_| "bad --arrival-degree value".to_string())?;
-            }
-            "--repair" => {
-                churn_flags.push("--repair");
-                args.strategies = match value("--repair")?.as_str() {
-                    "recompute" => vec![RepairStrategy::Recompute],
-                    "repair" => vec![RepairStrategy::Repair],
-                    "incremental" => vec![RepairStrategy::Incremental],
-                    "both" => vec![RepairStrategy::Recompute, RepairStrategy::Repair],
-                    "all" => ALL_STRATEGIES.to_vec(),
-                    other => return Err(format!("unknown repair mode `{other}` (try --help)")),
-                };
-            }
-            "--churn-model" => {
-                churn_flags.push("--churn-model");
-                args.churn_model = match value("--churn-model")?.as_str() {
-                    "uniform" => ChurnModel::Uniform,
-                    "adversarial" => ChurnModel::Adversarial,
-                    other => return Err(format!("unknown churn model `{other}` (try --help)")),
-                };
-            }
-            other => return Err(format!("unknown flag `{other}` (try --help)")),
+/// Reads `argv` against `tables`; `Ok(None)` means `--help` was printed.
+/// A positional argument is a file when `takes_files`, and otherwise an
+/// unknown flag.
+fn parse(
+    what: &'static str,
+    tables: &[&[Flag]],
+    takes_files: bool,
+    argv: &[String],
+) -> Result<Option<Args>, String> {
+    let mut args = Args { what, flags: Vec::new(), files: Vec::new() };
+    let mut argv = argv.iter();
+    while let Some(arg) = argv.next() {
+        if arg == "--help" || arg == "-h" {
+            outln!("{USAGE}");
+            return Ok(None);
         }
-    }
-    if !args.dynamic && !churn_flags.is_empty() {
-        return Err(format!(
-            "{} only make sense with --dynamic (did you forget it?)",
-            churn_flags.join(", ")
-        ));
-    }
-    if args.no_cache && args.store.is_none() {
-        return Err("--no-cache only makes sense with --store".to_string());
-    }
-    if args.dynamic && (args.round_timeline || args.protocol_trace.is_some()) {
-        return Err("--round-timeline/--protocol-trace record static protocol runs, not --dynamic"
-            .to_string());
-    }
-    if args.round_timeline && args.out.is_none() {
-        return Err(
-            "--round-timeline needs --out (it writes round_timeline.jsonl there)".to_string()
-        );
+        match tables.iter().copied().flatten().find(|f| f.0 == arg.as_str()) {
+            Some(&(flag, true)) => {
+                let value = argv.next().ok_or_else(|| format!("missing value for {flag}"))?;
+                args.flags.push((flag, value.clone()));
+            }
+            Some(&(flag, false)) => args.flags.push((flag, String::new())),
+            None if takes_files && !arg.starts_with('-') => args.files.push(PathBuf::from(arg)),
+            None => return Err(format!("unknown `{what}` flag `{arg}` (try --help)")),
+        }
     }
     Ok(Some(args))
 }
 
-fn parse_u64_maybe_hex(s: &str) -> Option<u64> {
-    if let Some(hex) = s.strip_prefix("0x").or_else(|| s.strip_prefix("0X")) {
-        u64::from_str_radix(hex, 16).ok()
-    } else {
-        s.parse().ok()
+/// Parses `v`, the value (or one item of the list) given to `flag`.
+fn number<T: FromStr>(flag: &str, v: &str) -> Result<T, String> {
+    v.parse().map_err(|_| format!("bad {flag} `{v}`"))
+}
+
+impl Args {
+    /// The value of `flag`'s last occurrence (empty for a switch).
+    fn value(&self, flag: &str) -> Option<&str> {
+        self.flags.iter().rev().find(|(f, _)| *f == flag).map(|(_, v)| v.as_str())
+    }
+
+    fn has(&self, flag: &str) -> bool {
+        self.value(flag).is_some()
+    }
+
+    fn path(&self, flag: &str) -> Option<PathBuf> {
+        self.value(flag).map(PathBuf::from)
+    }
+
+    /// The values of `flags`, all of which this entry point needs.
+    fn required<const N: usize>(&self, flags: [&str; N]) -> Result<[&str; N], String> {
+        let missing: Vec<&str> = flags.iter().copied().filter(|f| !self.has(f)).collect();
+        if !missing.is_empty() {
+            return Err(format!("`{}` needs {} (try --help)", self.what, missing.join(", ")));
+        }
+        Ok(flags.map(|f| self.value(f).unwrap_or_default()))
+    }
+
+    /// `flag`'s value as a number, or `default` when it is absent.
+    fn num<T: FromStr>(&self, flag: &str, default: T) -> Result<T, String> {
+        self.value(flag).map_or(Ok(default), |v| number(flag, v))
+    }
+
+    /// `flag`'s value as a decimal or `0x` hex seed, or `default`.
+    fn seed(&self, flag: &str, default: u64) -> Result<u64, String> {
+        let Some(v) = self.value(flag) else { return Ok(default) };
+        match v.strip_prefix("0x").or_else(|| v.strip_prefix("0X")) {
+            Some(hex) => u64::from_str_radix(hex, 16).ok(),
+            None => v.parse().ok(),
+        }
+        .ok_or_else(|| format!("bad {flag} `{v}`"))
+    }
+
+    /// `flag`'s comma-separated items, each read by `item`, or `default`.
+    fn list<T>(
+        &self,
+        flag: &str,
+        default: Vec<T>,
+        item: impl Fn(&str) -> Result<T, String>,
+    ) -> Result<Vec<T>, String> {
+        self.value(flag).map_or(Ok(default), |v| v.split(',').map(item).collect())
+    }
+
+    /// The run's [`FleetConfig`], from the [`CONFIG`] flags.
+    fn config(&self) -> Result<FleetConfig, String> {
+        let shard_size = self.num("--shard-size", 16)?;
+        if shard_size == 0 {
+            return Err("--shard-size must be at least 1".to_string());
+        }
+        let progress = !self.has("--no-progress");
+        Ok(FleetConfig { threads: self.num("--threads", 0)?, shard_size, progress })
     }
 }
 
 fn main() -> ExitCode {
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let rest = argv.get(1..).unwrap_or_default();
     // Subcommands take over before flag parsing.
-    match std::env::args().nth(1).as_deref() {
-        Some("worker") => return run_worker(),
-        Some("merge") => return run_merge(),
-        Some("gc") => return run_gc(),
-        Some("record-tape") => return run_record_tape(),
-        Some("replay") => return run_replay(),
-        Some("chaos") => return run_chaos(),
-        Some("trace-check") => return run_trace_check(),
+    let result = match argv.first().map(String::as_str) {
+        Some("worker") => run_worker(rest),
+        Some("merge") => run_merge(rest),
+        Some("gc") => run_gc(rest),
+        Some("record-tape") => run_record_tape(rest),
+        Some("replay") => run_replay(rest),
+        Some("chaos") => run_chaos(rest),
+        Some("trace-check") => run_trace_check(rest),
         Some("lint") => {
-            let args: Vec<String> = std::env::args().skip(2).collect();
-            let code = sleepy_lint::run_cli(&args);
-            return ExitCode::from(u8::try_from(code).unwrap_or(2));
+            return ExitCode::from(u8::try_from(sleepy_lint::run_cli(rest)).unwrap_or(2))
         }
-        _ => {}
-    }
-    let args = match parse_args() {
-        Ok(Some(args)) => args,
-        Ok(None) => return ExitCode::SUCCESS,
-        Err(msg) => {
-            eprintln!("fleet: {msg}");
-            return ExitCode::FAILURE;
-        }
+        _ => run_sweep(&argv),
     };
-    set_telemetry_mode(args.trace_out.is_some());
-    if args.dynamic {
-        run_dynamic(&args)
-    } else {
-        run_static(&args)
+    match result {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(msg) => {
+            errln!("fleet: {msg}");
+            ExitCode::FAILURE
+        }
     }
 }
 
@@ -479,17 +478,17 @@ fn set_telemetry_mode(trace: bool) {
     });
 }
 
-/// One code path for the end-of-run stderr line (all subcommands) —
-/// replaces the per-path ad-hoc `Instant`/`eprintln!` stopwatches.
+/// One code path for the end-of-run stderr line of every plan run.
 fn print_run_line(
     what: &str,
     elapsed: std::time::Duration,
     threads: usize,
     cache: Option<&CacheStats>,
 ) {
-    eprintln!("fleet: {what} in {elapsed:.2?} ({threads} threads)");
+    let threads = sleepy_fleet::pool::resolve_threads(threads);
+    errln!("fleet: {what} in {elapsed:.2?} ({threads} threads)");
     if let Some(c) = cache {
-        eprintln!(
+        errln!(
             "fleet: cache {} hits / {} executed ({:.1}% hit rate), {} stored \
              [s/ {}h {}e, d/ {}h {}e]",
             c.hits,
@@ -518,10 +517,7 @@ fn finish_telemetry(
     }
     let snap = sleepy_telemetry::snapshot_and_reset();
     if !quiet {
-        let summary = snap.render_summary();
-        if !summary.is_empty() {
-            eprint!("{summary}");
-        }
+        sleepy_fleet::sink::print_stderr(format_args!("{}", snap.render_summary()));
     }
     if let Some(dir) = out_dir {
         let text =
@@ -529,165 +525,57 @@ fn finish_telemetry(
         let path = dir.join("run_metrics.json");
         std::fs::write(&path, format!("{text}\n"))
             .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
-        eprintln!("fleet: wrote {}", path.display());
+        errln!("fleet: wrote {}", path.display());
     }
     if let Some(path) = trace_out {
         snap.write_chrome_trace(path, process_name)
             .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
-        eprintln!("fleet: wrote trace {}", path.display());
+        errln!("fleet: wrote trace {}", path.display());
     }
     Ok(())
 }
 
 /// `fleet trace-check`: validate a Chrome trace-event file written by
 /// `--trace-out` (or any B/E/M trace) and summarize what it holds.
-fn run_trace_check() -> ExitCode {
-    let mut files: Vec<PathBuf> = Vec::new();
-    for arg in std::env::args().skip(2) {
-        match arg.as_str() {
-            "--help" | "-h" => {
-                outln!("{USAGE}");
-                return ExitCode::SUCCESS;
-            }
-            other if other.starts_with('-') => {
-                return fail(format!("unknown `fleet trace-check` flag `{other}` (try --help)"));
-            }
-            other => files.push(PathBuf::from(other)),
-        }
+fn run_trace_check(argv: &[String]) -> Result<(), String> {
+    let Some(a) = parse("fleet trace-check", &[], true, argv)? else { return Ok(()) };
+    if a.files.is_empty() {
+        return Err("trace-check needs at least one FILE (try --help)".to_string());
     }
-    if files.is_empty() {
-        return fail("trace-check needs at least one FILE (try --help)");
+    for path in &a.files {
+        let text = std::fs::read_to_string(path)
+            .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
+        let check = sleepy_telemetry::validate_trace(&text)
+            .map_err(|e| format!("{}: INVALID — {e}", path.display()))?;
+        outln!(
+            "{}: OK — {} events, {} spans, {} counters, {} timelines, categories [{}]",
+            path.display(),
+            check.events,
+            check.spans,
+            check.counters,
+            check.timelines,
+            check.categories.join(", "),
+        );
     }
-    for path in &files {
-        let text = match std::fs::read_to_string(path) {
-            Ok(text) => text,
-            Err(e) => return fail(format!("cannot read {}: {e}", path.display())),
-        };
-        match sleepy_telemetry::validate_trace(&text) {
-            Ok(check) => outln!(
-                "{}: OK — {} events, {} spans, {} counters, {} timelines, categories [{}]",
-                path.display(),
-                check.events,
-                check.spans,
-                check.counters,
-                check.timelines,
-                check.categories.join(", "),
-            ),
-            Err(e) => return fail(format!("{}: INVALID — {e}", path.display())),
-        }
-    }
-    ExitCode::SUCCESS
-}
-
-/// Flags shared by the `worker` and `merge` subcommands.
-#[derive(Debug, Default)]
-struct SubArgs {
-    plan: Option<PathBuf>,
-    shard: Option<(usize, usize)>,
-    store: Option<PathBuf>,
-    from: Vec<PathBuf>,
-    out: Option<PathBuf>,
-    trace_out: Option<PathBuf>,
-    trace_from: Vec<PathBuf>,
-    ttl_secs: Option<u64>,
-    threads: usize,
-    shard_size: usize,
-    progress: bool,
-    chaos_kill: Option<PathBuf>,
-    chaos_wedge: Option<PathBuf>,
-}
-
-fn parse_sub_args(what: &str, allowed: &[&str]) -> Result<SubArgs, String> {
-    let mut args = SubArgs { shard_size: 16, progress: true, ..SubArgs::default() };
-    let mut it = std::env::args().skip(2);
-    while let Some(flag) = it.next() {
-        // Reject flags the subcommand would silently ignore (e.g.
-        // `fleet worker --out`: workers write no aggregates).
-        if !matches!(flag.as_str(), "--help" | "-h") && !allowed.contains(&flag.as_str()) {
-            return Err(format!("`{flag}` is not a `fleet {what}` flag (try --help)"));
-        }
-        let mut value = |flag: &str| it.next().ok_or_else(|| format!("missing value for {flag}"));
-        match flag.as_str() {
-            "--plan" => args.plan = Some(PathBuf::from(value("--plan")?)),
-            "--shard" => {
-                let v = value("--shard")?;
-                let parts: Vec<&str> = v.split('/').collect();
-                let parsed = if parts.len() == 2 {
-                    parts[0].parse::<usize>().ok().zip(parts[1].parse::<usize>().ok())
-                } else {
-                    None
-                };
-                args.shard =
-                    Some(parsed.ok_or_else(|| format!("bad --shard `{v}` (expected K/N)"))?);
-            }
-            "--store" => args.store = Some(PathBuf::from(value("--store")?)),
-            "--from" => {
-                args.from = value("--from")?.split(',').map(PathBuf::from).collect();
-            }
-            "--out" => args.out = Some(PathBuf::from(value("--out")?)),
-            "--trace-out" => args.trace_out = Some(PathBuf::from(value("--trace-out")?)),
-            "--trace-from" => {
-                args.trace_from = value("--trace-from")?.split(',').map(PathBuf::from).collect();
-            }
-            "--ttl-secs" => {
-                args.ttl_secs =
-                    Some(value("--ttl-secs")?.parse().map_err(|_| "bad --ttl-secs value")?);
-            }
-            "--threads" => {
-                args.threads = value("--threads")?.parse().map_err(|_| "bad --threads value")?;
-            }
-            "--shard-size" => {
-                args.shard_size =
-                    value("--shard-size")?.parse().map_err(|_| "bad --shard-size value")?;
-            }
-            "--no-progress" => args.progress = false,
-            "--chaos-kill" => args.chaos_kill = Some(PathBuf::from(value("--chaos-kill")?)),
-            "--chaos-wedge" => args.chaos_wedge = Some(PathBuf::from(value("--chaos-wedge")?)),
-            "--help" | "-h" => {
-                outln!("{USAGE}");
-                std::process::exit(0);
-            }
-            other => return Err(format!("unknown `fleet {what}` flag `{other}` (try --help)")),
-        }
-    }
-    Ok(args)
-}
-
-fn fail(msg: impl std::fmt::Display) -> ExitCode {
-    eprintln!("fleet: {msg}");
-    ExitCode::FAILURE
+    Ok(())
 }
 
 /// `fleet worker`: execute one contiguous shard of a plan, recording
 /// every result into this worker's store. The store *is* the output;
 /// the coordinator (or `fleet merge`) recovers aggregates from it.
-fn run_worker() -> ExitCode {
-    let sub = match parse_sub_args(
-        "worker",
-        &[
-            "--plan",
-            "--shard",
-            "--store",
-            "--trace-out",
-            "--threads",
-            "--shard-size",
-            "--no-progress",
-            "--chaos-kill",
-            "--chaos-wedge",
-        ],
-    ) {
-        Ok(sub) => sub,
-        Err(msg) => return fail(msg),
-    };
-    let (Some(plan_path), Some((index, count)), Some(store_dir)) =
-        (&sub.plan, sub.shard, &sub.store)
-    else {
-        return fail("worker needs --plan, --shard and --store (try --help)");
-    };
+fn run_worker(argv: &[String]) -> Result<(), String> {
+    let Some(a) = parse("fleet worker", &[WORKER, CONFIG], false, argv)? else { return Ok(()) };
+    let [plan_path, shard, store_dir] = a.required(["--plan", "--shard", "--store"])?;
+    let (index, count) = shard
+        .split_once('/')
+        .and_then(|(k, n)| k.parse::<usize>().ok().zip(n.parse::<usize>().ok()))
+        .filter(|(k, n)| k < n)
+        .ok_or_else(|| format!("bad --shard `{shard}` (expected K/N with K < N)"))?;
+    let config = a.config()?;
     // Test-only fault injection, driven by the supervisor's chaos
     // config. The marker file makes the fault fire exactly once: the
     // first attempt misbehaves, the retry runs the shard for real.
-    let first_attempt = |marker: &std::path::Path| {
+    let first_attempt = |marker: &Path| {
         if marker.exists() {
             false
         } else {
@@ -698,161 +586,91 @@ fn run_worker() -> ExitCode {
             true
         }
     };
-    if let Some(marker) = &sub.chaos_wedge {
-        if first_attempt(marker) {
-            eprintln!("fleet worker {index}/{count}: chaos wedge — hanging until killed");
-            loop {
-                std::thread::sleep(std::time::Duration::from_secs(3600));
-            }
+    if a.path("--chaos-wedge").is_some_and(|marker| first_attempt(&marker)) {
+        errln!("fleet worker {index}/{count}: chaos wedge — hanging until killed");
+        loop {
+            std::thread::sleep(std::time::Duration::from_secs(3600));
         }
     }
-    let chaos_kill_now = sub.chaos_kill.as_deref().is_some_and(first_attempt);
-    set_telemetry_mode(sub.trace_out.is_some());
-    let plan = match read_plan_file(plan_path) {
-        Ok(plan) => plan,
-        Err(e) => return fail(e),
-    };
-    let mut store = match Store::open(store_dir) {
-        Ok(store) => store,
-        Err(e) => return fail(e),
-    };
-    let config =
-        FleetConfig { threads: sub.threads, shard_size: sub.shard_size, progress: sub.progress };
+    let chaos_kill_now = a.path("--chaos-kill").is_some_and(|marker| first_attempt(&marker));
+    set_telemetry_mode(a.has("--trace-out"));
+    let plan = read_plan_file(Path::new(plan_path)).map_err(|e| e.to_string())?;
+    let mut store = Store::open(store_dir).map_err(|e| e.to_string())?;
     if chaos_kill_now {
         // Execute exactly the first half of this worker's shard —
         // shard 2k/2N is a prefix of shard k/N — then die with a
         // nonzero exit so the supervisor classifies and retries. The
         // retry finds the half-filled store and completes the rest.
         let (index, count) = (2 * index, 2 * count);
-        eprintln!("fleet worker: chaos kill — running half shard {index}/{count}, then exit 17");
-        match run_plan_shard(&plan, &config, &mut [], Some(&mut store), index, count) {
-            Ok(_) => std::process::exit(17),
-            Err(e) => return fail(format!("chaos half-shard {index}/{count} failed: {e}")),
-        }
+        errln!("fleet worker: chaos kill — running half shard {index}/{count}, then exit 17");
+        run_plan_shard(&plan, &config, &mut [], Some(&mut store), index, count)
+            .map_err(|e| format!("chaos half-shard {index}/{count} failed: {e}"))?;
+        std::process::exit(17);
     }
-    match run_plan_shard(&plan, &config, &mut [], Some(&mut store), index, count) {
-        Ok(out) => {
-            eprintln!(
-                "fleet worker {index}/{count}: {} trials ({} executed, {} cached, {} stored) \
-                 in {:.2?}",
-                out.total_trials, out.cache.executed, out.cache.hits, out.cache.stored, out.elapsed,
-            );
-            let name = format!("fleet-worker-{index}");
-            if let Err(e) = finish_telemetry(None, sub.trace_out.as_deref(), &name, !sub.progress) {
-                return fail(e);
-            }
-            ExitCode::SUCCESS
-        }
-        Err(e) => fail(format!("worker {index}/{count} failed: {e}")),
-    }
+    let out = run_plan_shard(&plan, &config, &mut [], Some(&mut store), index, count)
+        .map_err(|e| format!("worker {index}/{count} failed: {e}"))?;
+    errln!(
+        "fleet worker {index}/{count}: {} trials ({} executed, {} cached, {} stored) in {:.2?}",
+        out.total_trials,
+        out.cache.executed,
+        out.cache.hits,
+        out.cache.stored,
+        out.elapsed,
+    );
+    let name = format!("fleet-worker-{index}");
+    finish_telemetry(None, a.path("--trace-out").as_deref(), &name, !config.progress)
 }
 
 /// `fleet merge`: union shard stores into one store, then replay the
 /// plan warm against it — recovering aggregates byte-identical to a
 /// single-process run (missing trials simply execute during replay).
-fn run_merge() -> ExitCode {
-    let sub = match parse_sub_args(
-        "merge",
-        &[
-            "--plan",
-            "--from",
-            "--store",
-            "--out",
-            "--trace-out",
-            "--trace-from",
-            "--threads",
-            "--shard-size",
-            "--no-progress",
-        ],
-    ) {
-        Ok(sub) => sub,
-        Err(msg) => return fail(msg),
-    };
-    let (Some(plan_path), Some(store_dir)) = (&sub.plan, &sub.store) else {
-        return fail("merge needs --plan and --store (try --help)");
-    };
-    if sub.from.is_empty() {
-        return fail("merge needs --from DIR1,DIR2,... (try --help)");
+fn run_merge(argv: &[String]) -> Result<(), String> {
+    let Some(a) = parse("fleet merge", &[MERGE, CONFIG], false, argv)? else { return Ok(()) };
+    let [plan_path, from, store_dir] = a.required(["--plan", "--from", "--store"])?;
+    if a.has("--trace-from") && !a.has("--trace-out") {
+        return Err("--trace-from needs --trace-out (nowhere to put the merged trace)".to_string());
     }
-    if !sub.trace_from.is_empty() && sub.trace_out.is_none() {
-        return fail("--trace-from needs --trace-out (nowhere to put the merged trace)");
+    let config = a.config()?;
+    set_telemetry_mode(a.has("--trace-out"));
+    let plan = read_plan_file(Path::new(plan_path)).map_err(|e| e.to_string())?;
+    let mut merged = Store::open(store_dir).map_err(|e| e.to_string())?;
+    for dir in from.split(',') {
+        let shard = Store::open(dir).map_err(|e| e.to_string())?;
+        let added = merged.merge_from(&shard).map_err(|e| e.to_string())?;
+        errln!("fleet merge: {} entries from {dir} ({added} new)", shard.len());
     }
-    set_telemetry_mode(sub.trace_out.is_some());
-    let plan = match read_plan_file(plan_path) {
-        Ok(plan) => plan,
-        Err(e) => return fail(e),
-    };
-    let mut merged = match Store::open(store_dir) {
-        Ok(store) => store,
-        Err(e) => return fail(e),
-    };
-    for dir in &sub.from {
-        let shard = match Store::open(dir) {
-            Ok(store) => store,
-            Err(e) => return fail(e),
-        };
-        match merged.merge_from(&shard) {
-            Ok(added) => eprintln!(
-                "fleet merge: {} entries from {} ({} new)",
-                shard.len(),
-                dir.display(),
-                added
-            ),
-            Err(e) => return fail(e),
-        }
-    }
-    let config =
-        FleetConfig { threads: sub.threads, shard_size: sub.shard_size, progress: sub.progress };
-    let out = match run_plan_cached(&plan, &config, &mut [], Some(&mut merged), true) {
-        Ok(out) => out,
-        Err(e) => return fail(format!("merge replay failed: {e}")),
-    };
+    let out = run_plan_cached(&plan, &config, &mut [], Some(&mut merged), true)
+        .map_err(|e| format!("merge replay failed: {e}"))?;
     let report = out.report(&plan);
     print_static_table(&report);
-    print_run_line(
-        &format!("merge replayed {} trials", out.total_trials),
-        out.elapsed,
-        sleepy_fleet::pool::resolve_threads(sub.threads),
-        Some(&out.cache),
-    );
-    if let Some(dir) = &sub.out {
-        if let Err(e) = write_static_outputs(dir, &report, Some(out.cache)) {
-            return fail(format!("writing aggregates failed: {e}"));
-        }
-        eprintln!(
+    let what = format!("merge replayed {} trials", out.total_trials);
+    print_run_line(&what, out.elapsed, config.threads, Some(&out.cache));
+    let out_dir = a.path("--out");
+    if let Some(dir) = &out_dir {
+        write_static_outputs(dir, &report, Some(&out.cache))
+            .map_err(|e| format!("writing aggregates failed: {e}"))?;
+        errln!(
             "fleet merge: wrote {}/aggregates.json, aggregates.csv, cache_stats.json",
             dir.display()
         );
     }
-    for path in &sub.trace_from {
+    for path in a.value("--trace-from").into_iter().flat_map(|v| v.split(',')) {
         if let Err(e) = sleepy_telemetry::import_trace_file(path) {
-            eprintln!("fleet: warning: trace not imported: {e}");
+            errln!("fleet: warning: trace not imported: {e}");
         }
     }
-    if let Err(e) =
-        finish_telemetry(sub.out.as_deref(), sub.trace_out.as_deref(), "fleet-merge", !sub.progress)
-    {
-        return fail(e);
-    }
-    ExitCode::SUCCESS
+    let trace_out = a.path("--trace-out");
+    finish_telemetry(out_dir.as_deref(), trace_out.as_deref(), "fleet-merge", !config.progress)
 }
 
 /// `fleet gc`: expire entries past their TTL and compact the store's
 /// segments into one.
-fn run_gc() -> ExitCode {
-    let sub = match parse_sub_args("gc", &["--store", "--ttl-secs"]) {
-        Ok(sub) => sub,
-        Err(msg) => return fail(msg),
-    };
-    let Some(store_dir) = &sub.store else {
-        return fail("gc needs --store (try --help)");
-    };
-    let mut store = match Store::open(store_dir) {
-        Ok(store) => store,
-        Err(e) => return fail(e),
-    };
-    let expire_before = match sub.ttl_secs {
-        Some(ttl) => {
+fn run_gc(argv: &[String]) -> Result<(), String> {
+    let Some(a) = parse("fleet gc", &[GC], false, argv)? else { return Ok(()) };
+    let [store_dir] = a.required(["--store"])?;
+    let expire_before = match a.value("--ttl-secs") {
+        Some(v) => {
+            let ttl: u64 = number("--ttl-secs", v)?;
             // sleepy-lint: allow(no-wall-clock): gc compares TTL *metadata* stamps
             // against the clock; entry payloads and keys are untouched, so byte
             // identity of surviving records is preserved (cache_semantics.rs).
@@ -864,169 +682,95 @@ fn run_gc() -> ExitCode {
         }
         None => 0,
     };
-    match store.gc(expire_before) {
-        Ok(gc) => {
-            eprintln!(
-                "fleet gc: kept {} entries, dropped {}, {} segments -> {}",
-                gc.kept, gc.dropped, gc.segments_before, gc.segments_after,
-            );
-            ExitCode::SUCCESS
-        }
-        Err(e) => fail(e),
-    }
+    let mut store = Store::open(store_dir).map_err(|e| e.to_string())?;
+    let gc = store.gc(expire_before).map_err(|e| e.to_string())?;
+    errln!(
+        "fleet gc: kept {} entries, dropped {}, {} segments -> {}",
+        gc.kept,
+        gc.dropped,
+        gc.segments_before,
+        gc.segments_after,
+    );
+    Ok(())
+}
+
+/// One `HEAD:START:END` fault window of `flag`, its head read by `head`.
+fn fault_window<T>(
+    flag: &str,
+    spec: &str,
+    shape: &str,
+    head: impl Fn(&str) -> Option<T>,
+) -> Result<(T, u64, u64), String> {
+    let window = match spec.split(':').collect::<Vec<_>>()[..] {
+        [h, start, end] => head(h).zip(start.parse().ok()).zip(end.parse().ok()),
+        _ => None,
+    };
+    window
+        .map(|((h, start), end)| (h, start, end))
+        .ok_or_else(|| format!("bad {flag} `{spec}` (expected {shape})"))
 }
 
 /// `fleet record-tape`: run one algorithm on one workload instance and
 /// write the engine exchange as a versioned JSONL conformance tape.
-fn run_record_tape() -> ExitCode {
-    let mut algo: Option<AlgoKind> = None;
-    let mut family = GraphFamily::Star;
-    let mut n = 16usize;
-    let mut seed = 1u64;
-    let mut config = sleepy_net::EngineConfig::default();
-    let mut out: Option<PathBuf> = None;
-    let mut loss = 0.0f64;
-    let mut iid_seed = 0u64;
-    let mut fault_burst: Option<(f64, f64, f64, f64)> = None;
-    let mut fault_seed = 0u64;
-    let mut fault_crash: Vec<sleepy_net::CrashWindow> = Vec::new();
-    let mut fault_partition: Vec<sleepy_net::LinkWindow> = Vec::new();
-    let mut it = std::env::args().skip(2);
-    while let Some(flag) = it.next() {
-        let mut value = |flag: &str| it.next().ok_or_else(|| format!("missing value for {flag}"));
-        let result = (|| -> Result<bool, String> {
-            match flag.as_str() {
-                "--help" | "-h" => {
-                    outln!("{USAGE}");
-                    return Ok(false);
-                }
-                "--algo" => {
-                    let v = value("--algo")?;
-                    let algos = parse_algos(&v)?;
-                    let [one] = algos[..] else {
-                        return Err("record-tape takes exactly one --algo".to_string());
-                    };
-                    algo = Some(one);
-                }
-                "--family" => family = parse_family(&value("--family")?)?,
-                "--n" => n = value("--n")?.parse().map_err(|_| "bad --n value".to_string())?,
-                "--seed" => {
-                    let v = value("--seed")?;
-                    seed = parse_u64_maybe_hex(&v).ok_or(format!("bad --seed `{v}`"))?;
-                }
-                "--loss" => {
-                    loss = value("--loss")?.parse().map_err(|_| "bad --loss value".to_string())?;
-                    if !(0.0..=1.0).contains(&loss) {
-                        return Err("--loss must be in [0,1]".to_string());
-                    }
-                }
-                "--loss-seed" => {
-                    let v = value("--loss-seed")?;
-                    iid_seed = parse_u64_maybe_hex(&v).ok_or(format!("bad --loss-seed `{v}`"))?;
-                }
-                "--max-rounds" => {
-                    config.max_rounds = value("--max-rounds")?
-                        .parse()
-                        .map_err(|_| "bad --max-rounds value".to_string())?;
-                }
-                "--fault-burst" => {
-                    let v = value("--fault-burst")?;
-                    let bad = || format!("bad --fault-burst `{v}` (expected E,X,G,B)");
-                    let parts = v
-                        .split(',')
-                        .map(|p| p.parse::<f64>().map_err(|_| bad()))
-                        .collect::<Result<Vec<_>, _>>()?;
-                    let [e, x, g, b] = parts[..] else { return Err(bad()) };
-                    fault_burst = Some((e, x, g, b));
-                }
-                "--fault-seed" => {
-                    let v = value("--fault-seed")?;
-                    fault_seed =
-                        parse_u64_maybe_hex(&v).ok_or(format!("bad --fault-seed `{v}`"))?;
-                }
-                "--fault-crash" => {
-                    let v = value("--fault-crash")?;
-                    for spec in v.split(',') {
-                        let bad =
-                            || format!("bad --fault-crash `{spec}` (expected NODE:START:END)");
-                        let parts = spec
-                            .split(':')
-                            .map(|p| p.parse::<u64>().map_err(|_| bad()))
-                            .collect::<Result<Vec<_>, _>>()?;
-                        let [node, start, end] = parts[..] else { return Err(bad()) };
-                        let node = u32::try_from(node).map_err(|_| bad())?;
-                        fault_crash.push(sleepy_net::CrashWindow { node, start, end });
-                    }
-                }
-                "--fault-partition" => {
-                    let v = value("--fault-partition")?;
-                    for spec in v.split(',') {
-                        let bad =
-                            || format!("bad --fault-partition `{spec}` (expected U-V:START:END)");
-                        let parts: Vec<&str> = spec.split(':').collect();
-                        let [edge, start, end] = parts[..] else { return Err(bad()) };
-                        let (u, v2) = edge.split_once('-').ok_or_else(bad)?;
-                        let a: u32 = u.parse().map_err(|_| bad())?;
-                        let b: u32 = v2.parse().map_err(|_| bad())?;
-                        let start: u64 = start.parse().map_err(|_| bad())?;
-                        let end: u64 = end.parse().map_err(|_| bad())?;
-                        fault_partition.push(sleepy_net::LinkWindow { a, b, start, end });
-                    }
-                }
-                "--out" => out = Some(PathBuf::from(value("--out")?)),
-                other => return Err(format!("unknown `fleet record-tape` flag `{other}`")),
-            }
-            Ok(true)
-        })();
-        match result {
-            Ok(true) => {}
-            Ok(false) => return ExitCode::SUCCESS,
-            Err(msg) => return fail(msg),
-        }
-    }
-    let Some(algo) = algo else {
-        return fail("record-tape needs --algo (try --help)");
+fn run_record_tape(argv: &[String]) -> Result<(), String> {
+    let Some(a) = parse("fleet record-tape", &[RECORD_TAPE], false, argv)? else { return Ok(()) };
+    let [algo] = a.required(["--algo"])?;
+    let [algo] = parse_algos(algo)?[..] else {
+        return Err("record-tape takes exactly one --algo".to_string());
     };
-    use sleepy_net::FaultPlan;
+    let family = a.value("--family").map_or(Ok(GraphFamily::Star), parse_family)?;
+    let (n, seed) = (a.num("--n", 16)?, a.seed("--seed", 1)?);
+    let loss: f64 = a.num("--loss", 0.0)?;
+    if !(0.0..=1.0).contains(&loss) {
+        return Err("--loss must be in [0,1]".to_string());
+    }
+    let (loss_seed, fault_seed) = (a.seed("--loss-seed", 0)?, a.seed("--fault-seed", 0)?);
+    let burst = match a.list("--fault-burst", Vec::new(), |p| number("--fault-burst", p))?[..] {
+        [] => None,
+        [p_enter, p_exit, loss_good, loss_bad] => {
+            Some(FaultPlan::Burst { p_enter, p_exit, loss_good, loss_bad, seed: fault_seed })
+        }
+        _ => return Err("bad --fault-burst (expected E,X,G,B)".to_string()),
+    };
+    let crash = a.list("--fault-crash", Vec::new(), |spec| {
+        let (node, start, end) =
+            fault_window("--fault-crash", spec, "NODE:START:END", |h| h.parse().ok())?;
+        Ok(CrashWindow { node, start, end })
+    })?;
+    let partition = a.list("--fault-partition", Vec::new(), |spec| {
+        let edge =
+            |h: &str| h.split_once('-').and_then(|(u, v)| u.parse().ok().zip(v.parse().ok()));
+        let ((u, v), start, end) = fault_window("--fault-partition", spec, "U-V:START:END", edge)?;
+        Ok(LinkWindow { a: u, b: v, start, end })
+    })?;
     let mut plans = [
-        (loss > 0.0).then_some(FaultPlan::Iid { probability: loss, seed: iid_seed }),
-        fault_burst.map(|(p_enter, p_exit, loss_good, loss_bad)| FaultPlan::Burst {
-            p_enter,
-            p_exit,
-            loss_good,
-            loss_bad,
-            seed: fault_seed,
-        }),
-        (!fault_crash.is_empty()).then_some(FaultPlan::Crash { windows: fault_crash }),
-        (!fault_partition.is_empty()).then_some(FaultPlan::Partition { windows: fault_partition }),
+        (loss > 0.0).then_some(FaultPlan::Iid { probability: loss, seed: loss_seed }),
+        burst,
+        (!crash.is_empty()).then_some(FaultPlan::Crash { windows: crash }),
+        (!partition.is_empty()).then_some(FaultPlan::Partition { windows: partition }),
     ]
     .into_iter()
     .flatten();
-    config.fault = plans.next().unwrap_or_default();
+    let fault = plans.next().unwrap_or_default();
     if plans.next().is_some() {
-        return fail(
-            "--loss, --fault-burst, --fault-crash and --fault-partition are mutually exclusive",
+        return Err(
+            "--loss, --fault-burst, --fault-crash and --fault-partition are mutually exclusive"
+                .to_string(),
         );
     }
-    if let Err(e) = config.fault.validate() {
-        return fail(format!("invalid fault plan: {e}"));
-    }
-    let tape = match sleepy_fleet::tape::record_tape(algo, family, n, seed, &config) {
-        Ok(tape) => tape,
-        Err(e) => return fail(e),
-    };
-    let path = out.unwrap_or_else(|| {
-        PathBuf::from(format!(
-            "tape_{}_n{}_s{}.jsonl",
-            sleepy_fleet::tape::algo_slug(algo),
-            n,
-            seed
-        ))
+    fault.validate().map_err(|e| format!("invalid fault plan: {e}"))?;
+    let defaults = EngineConfig::default();
+    let max_rounds = a.num("--max-rounds", defaults.max_rounds)?;
+    let config = EngineConfig { max_rounds, fault, ..defaults };
+    let tape = sleepy_fleet::tape::record_tape(algo, family, n, seed, &config)
+        .map_err(|e| e.to_string())?;
+    let path = a.path("--out").unwrap_or_else(|| {
+        let slug = sleepy_fleet::tape::algo_slug(algo);
+        PathBuf::from(format!("tape_{slug}_n{n}_s{seed}.jsonl"))
     });
-    if let Err(e) = std::fs::write(&path, tape.to_jsonl()) {
-        return fail(format!("cannot write {}: {e}", path.display()));
-    }
-    eprintln!(
+    std::fs::write(&path, tape.to_jsonl())
+        .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
+    errln!(
         "record-tape: wrote {} ({} inputs, {} outputs, fnv {:016x}{})",
         path.display(),
         tape.inputs.len(),
@@ -1037,146 +781,168 @@ fn run_record_tape() -> ExitCode {
             None => String::new(),
         },
     );
-    ExitCode::SUCCESS
+    Ok(())
 }
 
 /// `fleet chaos`: run the seeded fault-injection matrix (see
 /// `sleepy_fleet::chaos`) and exit nonzero unless every leg's recovery
 /// invariant holds.
-fn run_chaos() -> ExitCode {
-    let exe = match std::env::current_exe() {
-        Ok(exe) => exe,
-        Err(e) => return fail(format!("cannot locate the fleet binary: {e}")),
-    };
-    let mut dir: Option<PathBuf> = None;
-    let mut smoke = false;
-    let mut seed: Option<u64> = None;
-    let mut n: Option<usize> = None;
-    let mut trials: Option<usize> = None;
-    let mut procs: Option<usize> = None;
-    let mut threads: Option<usize> = None;
-    let mut it = std::env::args().skip(2);
-    while let Some(flag) = it.next() {
-        let mut value = |flag: &str| it.next().ok_or_else(|| format!("missing value for {flag}"));
-        let result = (|| -> Result<bool, String> {
-            let num =
-                |v: String, flag: &str| v.parse::<usize>().map_err(|_| format!("bad {flag} `{v}`"));
-            match flag.as_str() {
-                "--help" | "-h" => {
-                    outln!("{USAGE}");
-                    return Ok(false);
-                }
-                "--dir" => dir = Some(PathBuf::from(value("--dir")?)),
-                "--smoke" => smoke = true,
-                "--seed" => {
-                    let v = value("--seed")?;
-                    seed = Some(parse_u64_maybe_hex(&v).ok_or(format!("bad --seed `{v}`"))?);
-                }
-                "--n" => n = Some(num(value("--n")?, "--n")?),
-                "--trials" => trials = Some(num(value("--trials")?, "--trials")?),
-                "--procs" => procs = Some(num(value("--procs")?, "--procs")?),
-                "--threads" => threads = Some(num(value("--threads")?, "--threads")?),
-                other => return Err(format!("unknown `fleet chaos` flag `{other}`")),
-            }
-            Ok(true)
-        })();
-        match result {
-            Ok(true) => {}
-            Ok(false) => return ExitCode::SUCCESS,
-            Err(msg) => return fail(msg),
-        }
-    }
-    let dir = dir.unwrap_or_else(|| {
+fn run_chaos(argv: &[String]) -> Result<(), String> {
+    let Some(a) = parse("fleet chaos", &[CHAOS], false, argv)? else { return Ok(()) };
+    let exe =
+        std::env::current_exe().map_err(|e| format!("cannot locate the fleet binary: {e}"))?;
+    let dir = a.path("--dir").unwrap_or_else(|| {
         std::env::temp_dir().join(format!("fleet-chaos-{}", std::process::id()))
     });
-    let mut cfg = if smoke {
+    let mut cfg = if a.has("--smoke") {
         sleepy_fleet::chaos::ChaosConfig::smoke(&exe, &dir)
     } else {
         sleepy_fleet::chaos::ChaosConfig::full(&exe, &dir)
     };
-    if let Some(seed) = seed {
-        cfg.seed = seed;
-    }
-    if let Some(n) = n {
-        cfg.n = n;
-    }
-    if let Some(trials) = trials {
-        cfg.trials = trials;
-    }
-    if let Some(procs) = procs {
-        cfg.procs = procs;
-    }
-    if let Some(threads) = threads {
-        cfg.threads = threads;
-    }
+    cfg.seed = a.seed("--seed", cfg.seed)?;
+    cfg.n = a.num("--n", cfg.n)?;
+    cfg.trials = a.num("--trials", cfg.trials)?;
+    cfg.procs = a.num("--procs", cfg.procs)?;
+    cfg.threads = a.num("--threads", cfg.threads)?;
     if cfg.procs == 0 {
-        return fail("--procs must be at least 1");
+        return Err("--procs must be at least 1".to_string());
     }
-    match sleepy_fleet::chaos::run_chaos_matrix(&cfg) {
-        Ok(report) => {
-            outln!("{report}");
-            if report.passed() {
-                ExitCode::SUCCESS
-            } else {
-                ExitCode::FAILURE
-            }
-        }
-        Err(e) => fail(format!("chaos matrix could not run: {e}")),
+    let report = sleepy_fleet::chaos::run_chaos_matrix(&cfg)
+        .map_err(|e| format!("chaos matrix could not run: {e}"))?;
+    outln!("{report}");
+    if report.passed() {
+        Ok(())
+    } else {
+        Err("chaos matrix failed (see the FAIL legs above)".to_string())
     }
 }
 
 /// `fleet replay`: re-run committed tapes through the sans-io engine in
 /// parallel and fail on any divergence. Per-tape report lines are
 /// printed in argument order — byte-identical regardless of --threads.
-fn run_replay() -> ExitCode {
-    let mut files: Vec<PathBuf> = Vec::new();
-    let mut threads = 0usize;
-    let mut it = std::env::args().skip(2);
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--help" | "-h" => {
-                outln!("{USAGE}");
-                return ExitCode::SUCCESS;
-            }
-            "--threads" => {
-                let Some(v) = it.next() else { return fail("missing value for --threads") };
-                threads = match v.parse() {
-                    Ok(t) => t,
-                    Err(_) => return fail(format!("bad --threads `{v}`")),
-                };
-            }
-            other if other.starts_with('-') => {
-                return fail(format!("unknown `fleet replay` flag `{other}` (try --help)"));
-            }
-            other => files.push(PathBuf::from(other)),
-        }
+fn run_replay(argv: &[String]) -> Result<(), String> {
+    let Some(a) = parse("fleet replay", &[REPLAY], true, argv)? else { return Ok(()) };
+    if a.files.is_empty() {
+        return Err("replay needs at least one tape FILE (try --help)".to_string());
     }
-    if files.is_empty() {
-        return fail("replay needs at least one tape FILE (try --help)");
-    }
-    let lines = sleepy_fleet::deterministic_map(files.len(), threads, |i| {
-        let path = &files[i];
+    let lines = sleepy_fleet::deterministic_map(a.files.len(), a.num("--threads", 0)?, |i| {
+        let path = &a.files[i];
         let text = std::fs::read_to_string(path).map_err(|e| format!("{}: {e}", path.display()))?;
         sleepy_fleet::tape::replay_text(&path.display().to_string(), &text)
-    });
-    match lines {
-        Ok(lines) => {
-            for line in lines {
-                outln!("{line}");
-            }
-            outln!("replay: {} tapes OK", files.len());
-            ExitCode::SUCCESS
-        }
-        Err(msg) => fail(msg),
+    })?;
+    for line in lines {
+        outln!("{line}");
     }
+    outln!("replay: {} tapes OK", a.files.len());
+    Ok(())
+}
+
+/// `fleet [OPTIONS]`: checks the sweep flags, then runs the static or
+/// the `--dynamic` plan they describe.
+fn run_sweep(argv: &[String]) -> Result<(), String> {
+    let Some(a) = parse("fleet", &[SWEEP, CONFIG], false, argv)? else { return Ok(()) };
+    let dynamic = a.has("--dynamic");
+    let (foreign, why) = if dynamic {
+        (STATIC_ONLY, "cannot be used with --dynamic (static runs only)")
+    } else {
+        (DYNAMIC_ONLY, "only make sense with --dynamic (did you forget it?)")
+    };
+    let foreign: Vec<&str> = foreign.iter().copied().filter(|f| a.has(f)).collect();
+    if !foreign.is_empty() {
+        return Err(format!("{} {why}", foreign.join(", ")));
+    }
+    if a.has("--no-cache") && !a.has("--store") {
+        return Err("--no-cache only makes sense with --store".to_string());
+    }
+    if a.has("--round-timeline") && !a.has("--out") {
+        return Err("--round-timeline needs --out (it writes round_timeline.jsonl there)".into());
+    }
+    let families = a.list("--families", standard_families(), parse_family)?;
+    let sizes = a.list("--sizes", vec![256, 512], |s| number("--sizes", s))?;
+    let algos = a.value("--algos").map_or(Ok(ALL_ALGOS.to_vec()), parse_algos)?;
+    let (trials, seed) = (a.num("--trials", 25)?, a.seed("--seed", 0x51EE9)?);
+    let execution = if a.has("--engine") { Execution::ForceEngine } else { Execution::Auto };
+    let config = a.config()?;
+    set_telemetry_mode(a.has("--trace-out"));
+    if !dynamic {
+        let plan = TrialPlan::sweep(&families, &sizes, &algos, trials, seed, execution);
+        errln!(
+            "fleet: {} jobs ({} families x {} sizes x {} algorithms), {} trials total",
+            plan.jobs.len(),
+            families.len(),
+            sizes.len(),
+            algos.len(),
+            plan.total_trials(),
+        );
+        return run_static(&a, &plan, &config);
+    }
+    let phases = a.num("--phases", 4)?;
+    if phases == 0 {
+        return Err("--phases must be >= 1".to_string());
+    }
+    let strategies = match a.value("--repair").unwrap_or("both") {
+        "recompute" => vec![RepairStrategy::Recompute],
+        "repair" => vec![RepairStrategy::Repair],
+        "incremental" => vec![RepairStrategy::Incremental],
+        "both" => vec![RepairStrategy::Recompute, RepairStrategy::Repair],
+        "all" => ALL_STRATEGIES.to_vec(),
+        other => return Err(format!("unknown repair mode `{other}` (try --help)")),
+    };
+    let (edge_churn, node_churn) = (a.num("--edge-churn", 0.05)?, a.num("--node-churn", 0.02)?);
+    let churn = ChurnSpec {
+        edge_delete_frac: edge_churn,
+        edge_insert_frac: edge_churn,
+        node_delete_frac: node_churn,
+        node_insert_frac: node_churn,
+        arrival_degree: a.num("--arrival-degree", 3)?,
+        model: match a.value("--churn-model").unwrap_or("uniform") {
+            "uniform" => ChurnModel::Uniform,
+            "adversarial" => ChurnModel::Adversarial,
+            other => return Err(format!("unknown churn model `{other}` (try --help)")),
+        },
+    };
+    let plan = DynamicPlan::sweep(
+        &families,
+        &sizes,
+        &algos,
+        &strategies,
+        phases,
+        churn,
+        trials,
+        seed,
+        execution,
+    );
+    errln!(
+        "fleet: dynamic plan, {} jobs ({} families x {} sizes x {} algorithms x {} strategies), \
+         {} phases per trial, {} trials total",
+        plan.jobs.len(),
+        families.len(),
+        sizes.len(),
+        algos.len(),
+        strategies.len(),
+        phases,
+        plan.total_trials(),
+    );
+    run_dynamic(&a, &plan, &config, phases)
+}
+
+/// `--dry-run`: prints the plan's jobs, and says whether to stop there.
+fn dry_run(a: &Args, jobs: impl Iterator<Item = (String, usize)>) -> bool {
+    if !a.has("--dry-run") {
+        return false;
+    }
+    for (i, (label, trials)) in jobs.enumerate() {
+        outln!("job {i:4}  {label}  x{trials}");
+    }
+    true
 }
 
 /// Opens the `--store` directory (when given), logging its stats.
-fn open_store(dir: &Option<PathBuf>) -> Result<Option<Store>, sleepy_store::StoreError> {
-    let Some(dir) = dir else { return Ok(None) };
-    let store = Store::open(dir)?;
+fn open_store(a: &Args) -> Result<Option<Store>, String> {
+    let Some(dir) = a.path("--store") else { return Ok(None) };
+    let store = Store::open(&dir).map_err(|e| e.to_string())?;
     let stats = store.stats();
-    eprintln!(
+    errln!(
         "fleet: store {} open ({} entries, {} segments{})",
         dir.display(),
         stats.entries,
@@ -1190,78 +956,43 @@ fn open_store(dir: &Option<PathBuf>) -> Result<Option<Store>, sleepy_store::Stor
     Ok(Some(store))
 }
 
-fn run_dynamic(args: &Args) -> ExitCode {
-    let churn = ChurnSpec {
-        edge_delete_frac: args.edge_churn,
-        edge_insert_frac: args.edge_churn,
-        node_delete_frac: args.node_churn,
-        node_insert_frac: args.node_churn,
-        arrival_degree: args.arrival_degree,
-        model: args.churn_model,
-    };
-    let plan = DynamicPlan::sweep(
-        &args.families,
-        &args.sizes,
-        &args.algos,
-        &args.strategies,
-        args.phases,
-        churn,
-        args.trials,
-        args.seed,
-        args.execution,
-    );
-    eprintln!(
-        "fleet: dynamic plan, {} jobs ({} families x {} sizes x {} algorithms x {} strategies), \
-         {} phases per trial, {} trials total",
-        plan.jobs.len(),
-        args.families.len(),
-        args.sizes.len(),
-        args.algos.len(),
-        args.strategies.len(),
-        args.phases,
-        plan.total_trials(),
-    );
-    if args.dry_run {
-        for (i, job) in plan.jobs.iter().enumerate() {
-            outln!("job {i:4}  {}  x{}", job.label(), job.trials);
-        }
-        return ExitCode::SUCCESS;
-    }
-    let config =
-        FleetConfig { threads: args.threads, shard_size: args.shard_size, progress: args.progress };
+/// Creates the `--out` directory and the JSONL file `name` in it, when
+/// `--out` was given.
+fn create_jsonl(out_dir: Option<&Path>, name: &str) -> Result<Option<BufWriter<File>>, String> {
+    let Some(dir) = out_dir else { return Ok(None) };
+    std::fs::create_dir_all(dir).map_err(|e| format!("cannot create {}: {e}", dir.display()))?;
+    let file = File::create(dir.join(name)).map_err(|e| format!("cannot create {name}: {e}"))?;
+    Ok(Some(BufWriter::new(file)))
+}
 
-    let mut store = match open_store(&args.store) {
-        Ok(store) => store,
-        Err(e) => return fail(e),
-    };
-    let mut jsonl = None;
-    if let Some(dir) = &args.out {
-        if let Err(e) = std::fs::create_dir_all(dir) {
-            eprintln!("fleet: cannot create {}: {e}", dir.display());
-            return ExitCode::FAILURE;
-        }
-        match std::fs::File::create(dir.join("phases.jsonl")) {
-            Ok(f) => jsonl = Some(PhaseJsonlSink::new(BufWriter::new(f))),
-            Err(e) => {
-                eprintln!("fleet: cannot create phases.jsonl: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-    let mut sinks: Vec<&mut dyn sleepy_fleet::sink::PhaseSink> = Vec::new();
-    if let Some(s) = jsonl.as_mut() {
-        sinks.push(s);
-    }
+/// Writes `cache_stats.json` into `dir`. Cache stats live in their own
+/// file on purpose: the aggregates stay byte-identical between cold and
+/// warm runs of the same plan.
+fn write_cache_stats(dir: &Path, cache: &CacheStats) -> std::io::Result<()> {
+    let text = serde_json::to_string_pretty(&cache.to_json()).expect("stats serialize");
+    std::fs::write(dir.join("cache_stats.json"), format!("{text}\n"))
+}
 
-    let out =
-        match run_dynamic_plan_cached(&plan, &config, &mut sinks, store.as_mut(), !args.no_cache) {
-            Ok(out) => out,
-            Err(e) => {
-                eprintln!("fleet: dynamic run failed: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-    let report = out.report(&plan);
+/// Runs a `--dynamic` sweep: its console tables, then phases.jsonl and
+/// dynamic_aggregates.json under `--out`.
+fn run_dynamic(
+    a: &Args,
+    plan: &DynamicPlan,
+    config: &FleetConfig,
+    phases: usize,
+) -> Result<(), String> {
+    if dry_run(a, plan.jobs.iter().map(|job| (job.label(), job.trials))) {
+        return Ok(());
+    }
+    let mut store = open_store(a)?;
+    let out_dir = a.path("--out");
+    let mut jsonl = create_jsonl(out_dir.as_deref(), "phases.jsonl")?.map(PhaseJsonlSink::new);
+    let mut sinks: Vec<&mut dyn PhaseSink> =
+        jsonl.iter_mut().map(|s| s as &mut dyn PhaseSink).collect();
+    let read_cache = !a.has("--no-cache");
+    let out = run_dynamic_plan_cached(plan, config, &mut sinks, store.as_mut(), read_cache)
+        .map_err(|e| format!("dynamic run failed: {e}"))?;
+    let report = out.report(plan);
 
     // Console summary: one row per (job, phase).
     let mut table = TextTable::new(vec![
@@ -1301,42 +1032,25 @@ fn run_dynamic(args: &Args) -> ExitCode {
             );
         }
     }
-    print_run_line(
-        &format!("{} dynamic trials ({} phases each)", out.total_trials, args.phases),
-        out.elapsed,
-        sleepy_fleet::pool::resolve_threads(args.threads),
-        store.is_some().then_some(&out.cache),
-    );
+    let cache = store.is_some().then_some(out.cache);
+    let what = format!("{} dynamic trials ({phases} phases each)", out.total_trials);
+    print_run_line(&what, out.elapsed, config.threads, cache.as_ref());
 
-    if let Some(dir) = &args.out {
+    if let Some(dir) = &out_dir {
         let write_all = || -> std::io::Result<()> {
-            write_dynamic_aggregate_json(
-                BufWriter::new(std::fs::File::create(dir.join("dynamic_aggregates.json"))?),
-                &report,
-            )?;
-            if store.is_some() {
-                let text =
-                    serde_json::to_string_pretty(&out.cache.to_json()).expect("stats serialize");
-                std::fs::write(dir.join("cache_stats.json"), format!("{text}\n"))?;
-            }
-            Ok(())
+            let file = File::create(dir.join("dynamic_aggregates.json"))?;
+            write_dynamic_aggregate_json(BufWriter::new(file), &report)?;
+            cache.as_ref().map_or(Ok(()), |cache| write_cache_stats(dir, cache))
         };
-        if let Err(e) = write_all() {
-            eprintln!("fleet: writing aggregates failed: {e}");
-            return ExitCode::FAILURE;
-        }
-        eprintln!(
+        write_all().map_err(|e| format!("writing aggregates failed: {e}"))?;
+        errln!(
             "fleet: wrote {}/phases.jsonl, dynamic_aggregates.json{}",
             dir.display(),
-            if store.is_some() { ", cache_stats.json" } else { "" },
+            if cache.is_some() { ", cache_stats.json" } else { "" },
         );
     }
-    if let Err(e) =
-        finish_telemetry(args.out.as_deref(), args.trace_out.as_deref(), "fleet", !args.progress)
-    {
-        return fail(e);
-    }
-    ExitCode::SUCCESS
+    let trace_out = a.path("--trace-out");
+    finish_telemetry(out_dir.as_deref(), trace_out.as_deref(), "fleet", !config.progress)
 }
 
 fn print_static_table(report: &FleetReport) {
@@ -1362,102 +1076,48 @@ fn print_static_table(report: &FleetReport) {
 }
 
 /// Writes `aggregates.json` + `aggregates.csv` (and, for cached runs,
-/// `cache_stats.json`) into `dir`. Cache stats live in their own file
-/// on purpose: `aggregates.json` stays byte-identical between cold and
-/// warm runs of the same plan.
+/// `cache_stats.json`) into `dir`.
 fn write_static_outputs(
     dir: &Path,
     report: &FleetReport,
-    cache: Option<CacheStats>,
+    cache: Option<&CacheStats>,
 ) -> std::io::Result<()> {
     std::fs::create_dir_all(dir)?;
-    write_aggregate_json(
-        BufWriter::new(std::fs::File::create(dir.join("aggregates.json"))?),
-        report,
-    )?;
-    write_aggregate_csv(
-        BufWriter::new(std::fs::File::create(dir.join("aggregates.csv"))?),
-        report,
-    )?;
-    if let Some(cache) = cache {
-        let text = serde_json::to_string_pretty(&cache.to_json()).expect("stats serialize");
-        std::fs::write(dir.join("cache_stats.json"), format!("{text}\n"))?;
-    }
-    Ok(())
+    write_aggregate_json(BufWriter::new(File::create(dir.join("aggregates.json"))?), report)?;
+    write_aggregate_csv(BufWriter::new(File::create(dir.join("aggregates.csv"))?), report)?;
+    cache.map_or(Ok(()), |cache| write_cache_stats(dir, cache))
 }
 
-fn run_static(args: &Args) -> ExitCode {
-    let plan = TrialPlan::sweep(
-        &args.families,
-        &args.sizes,
-        &args.algos,
-        args.trials,
-        args.seed,
-        args.execution,
-    );
-    eprintln!(
-        "fleet: {} jobs ({} families x {} sizes x {} algorithms), {} trials total",
-        plan.jobs.len(),
-        args.families.len(),
-        args.sizes.len(),
-        args.algos.len(),
-        plan.total_trials(),
-    );
-    if let Some(path) = &args.emit_plan {
-        if let Err(e) = std::fs::write(path, format!("{}\n", plan_to_json(&plan))) {
-            return fail(format!("cannot write {}: {e}", path.display()));
-        }
-        eprintln!("fleet: wrote plan to {}", path.display());
+/// Runs a static sweep: its console table, then trials.jsonl and the
+/// aggregates under `--out`, then the optional protocol recordings.
+fn run_static(a: &Args, plan: &TrialPlan, config: &FleetConfig) -> Result<(), String> {
+    if let Some(path) = a.path("--emit-plan") {
+        std::fs::write(&path, format!("{}\n", plan_to_json(plan)))
+            .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
+        errln!("fleet: wrote plan to {}", path.display());
     }
-    if args.dry_run {
-        for (i, job) in plan.jobs.iter().enumerate() {
-            outln!("job {i:4}  {}  x{}", job.label(), job.trials);
-        }
-        return ExitCode::SUCCESS;
+    if dry_run(a, plan.jobs.iter().map(|job| (job.label(), job.trials))) {
+        return Ok(());
     }
-    let config =
-        FleetConfig { threads: args.threads, shard_size: args.shard_size, progress: args.progress };
-
-    let mut store = match open_store(&args.store) {
-        Ok(store) => store,
-        Err(e) => return fail(e),
-    };
-
-    let mut jsonl = None;
-    if let Some(dir) = &args.out {
-        if let Err(e) = std::fs::create_dir_all(dir) {
-            return fail(format!("cannot create {}: {e}", dir.display()));
-        }
-        match std::fs::File::create(dir.join("trials.jsonl")) {
-            Ok(f) => jsonl = Some(JsonlSink::new(BufWriter::new(f))),
-            Err(e) => return fail(format!("cannot create trials.jsonl: {e}")),
-        }
-    }
-    let mut sinks: Vec<&mut dyn sleepy_fleet::sink::TrialSink> = Vec::new();
-    if let Some(s) = jsonl.as_mut() {
-        sinks.push(s);
-    }
-
-    let out = match run_plan_cached(&plan, &config, &mut sinks, store.as_mut(), !args.no_cache) {
-        Ok(out) => out,
-        Err(e) => return fail(format!("run failed: {e}")),
-    };
-    let report = out.report(&plan);
+    let mut store = open_store(a)?;
+    let out_dir = a.path("--out");
+    let mut jsonl = create_jsonl(out_dir.as_deref(), "trials.jsonl")?.map(JsonlSink::new);
+    let mut sinks: Vec<&mut dyn TrialSink> =
+        jsonl.iter_mut().map(|s| s as &mut dyn TrialSink).collect();
+    let read_cache = !a.has("--no-cache");
+    let out = run_plan_cached(plan, config, &mut sinks, store.as_mut(), read_cache)
+        .map_err(|e| format!("run failed: {e}"))?;
+    let report = out.report(plan);
 
     print_static_table(&report);
-    print_run_line(
-        &format!("{} trials", out.total_trials),
-        out.elapsed,
-        sleepy_fleet::pool::resolve_threads(args.threads),
-        store.is_some().then_some(&out.cache),
-    );
+    let cache = store.is_some().then_some(out.cache);
+    let what = format!("{} trials", out.total_trials);
+    print_run_line(&what, out.elapsed, config.threads, cache.as_ref());
 
-    if let Some(dir) = &args.out {
-        let cache = store.is_some().then_some(out.cache);
-        if let Err(e) = write_static_outputs(dir, &report, cache) {
-            return fail(format!("writing aggregates failed: {e}"));
-        }
-        eprintln!(
+    if let Some(dir) = &out_dir {
+        write_static_outputs(dir, &report, cache.as_ref())
+            .map_err(|e| format!("writing aggregates failed: {e}"))?;
+        errln!(
             "fleet: wrote {}/trials.jsonl, aggregates.json, aggregates.csv{}",
             dir.display(),
             if cache.is_some() { ", cache_stats.json" } else { "" },
@@ -1468,28 +1128,46 @@ fn run_static(args: &Args) -> ExitCode {
     // byte-identical) before any recording happens. Host-level spans
     // live here, not in the recorder (crates/fleet/src/scope.rs is in
     // the lint `pure` zone).
-    if args.round_timeline {
-        let dir = args.out.as_deref().expect("checked in parse_args");
+    if let Some(dir) = out_dir.as_deref().filter(|_| a.has("--round-timeline")) {
         let path = dir.join("round_timeline.jsonl");
         let _span = sleepy_telemetry::span!("scope", "round_timeline");
-        match sleepy_fleet::write_round_timeline(&plan, args.threads, &path) {
-            Ok(trials) => {
-                eprintln!("fleet: wrote {} ({trials} trials)", path.display());
-            }
-            Err(e) => return fail(format!("round timeline failed: {e}")),
-        }
+        let trials = sleepy_fleet::write_round_timeline(plan, config.threads, &path)
+            .map_err(|e| format!("round timeline failed: {e}"))?;
+        errln!("fleet: wrote {} ({trials} trials)", path.display());
     }
-    if let Some(path) = &args.protocol_trace {
+    if let Some(path) = a.path("--protocol-trace") {
         let _span = sleepy_telemetry::span!("scope", "protocol_trace");
-        if let Err(e) = sleepy_fleet::write_protocol_trace(&plan, path) {
-            return fail(format!("protocol trace failed: {e}"));
+        sleepy_fleet::write_protocol_trace(plan, &path)
+            .map_err(|e| format!("protocol trace failed: {e}"))?;
+        errln!("fleet: wrote protocol trace {}", path.display());
+    }
+    let trace_out = a.path("--trace-out");
+    finish_telemetry(out_dir.as_deref(), trace_out.as_deref(), "fleet", !config.progress)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::collections::BTreeSet;
+
+    /// Every flag a table holds is documented in `USAGE`, and every
+    /// `--flag` `USAGE` names is in some table: the help text and the
+    /// parser cannot drift apart.
+    #[test]
+    fn usage_names_exactly_the_table_flags() {
+        let tables = [CONFIG, SWEEP, WORKER, MERGE, GC, RECORD_TAPE, REPLAY, CHAOS];
+        let in_tables: BTreeSet<&str> = tables.iter().copied().flatten().map(|f| f.0).collect();
+        let mut in_usage = BTreeSet::new();
+        for (at, _) in USAGE.match_indices("--") {
+            let rest = &USAGE[at + 2..];
+            let len =
+                rest.find(|c: char| !c.is_ascii_lowercase() && c != '-').unwrap_or(rest.len());
+            in_usage.insert(&USAGE[at..at + 2 + len]);
         }
-        eprintln!("fleet: wrote protocol trace {}", path.display());
+        assert!(in_usage.remove("--help"), "the parser answers --help everywhere");
+        assert_eq!(in_usage, in_tables);
+        for only in STATIC_ONLY.iter().chain(DYNAMIC_ONLY) {
+            assert!(SWEEP.iter().any(|f| f.0 == *only), "{only} is not a sweep flag");
+        }
     }
-    if let Err(e) =
-        finish_telemetry(args.out.as_deref(), args.trace_out.as_deref(), "fleet", !args.progress)
-    {
-        return fail(e);
-    }
-    ExitCode::SUCCESS
 }

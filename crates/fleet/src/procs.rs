@@ -8,8 +8,9 @@
 //!    (job order matters — trial seeds depend on job position).
 //! 2. Each worker `k` runs `fleet worker --plan plan.json --shard k/N
 //!    --store <dir>/shard-k`: it executes only the global trials in
-//!    [`shard_bounds`]`(total, k, N)` and records every result in its
-//!    own store.
+//!    [`shard_bounds`](crate::shard_bounds)`(total, k, N)`, where
+//!    `total` counts a repeated job once, and records every result in
+//!    its own store.
 //! 3. The coordinator merges the shard stores into `<dir>/merged` and
 //!    *replays the full plan warm* against the merged store.
 //!
@@ -37,7 +38,7 @@
 
 use crate::error::{FleetError, WorkerStatus};
 use crate::planio::{plan_from_json, plan_to_json};
-use crate::run::{run_plan_cached, shard_bounds, FleetConfig, FleetOutput};
+use crate::run::{run_plan_cached, worker_range, FleetConfig, FleetOutput};
 use crate::sink::TrialSink;
 use crate::spec::TrialPlan;
 use sleepy_store::Store;
@@ -281,7 +282,6 @@ pub fn run_plan_sharded_procs_supervised(
         return Err(FleetError::Config("need at least one worker process".into()));
     }
     let plan_path = write_plan_file(dir, plan)?;
-    let total = plan.total_trials() as usize;
     let mut report = SupervisionReport { workers: procs_config.procs, ..Default::default() };
 
     // Supervision timeouts and backoff gate *whether a worker is
@@ -407,7 +407,7 @@ pub fn run_plan_sharded_procs_supervised(
                         kill_all(&mut slots);
                         return Err(FleetError::Worker {
                             id: k,
-                            range: shard_bounds(total, k, procs_config.procs),
+                            range: worker_range(plan, k, procs_config.procs),
                             status,
                         });
                     }
@@ -426,7 +426,7 @@ pub fn run_plan_sharded_procs_supervised(
         // trace only degrades the timeline, not the run.
         for k in 0..procs_config.procs {
             if let Err(e) = sleepy_telemetry::import_trace_file(shard_trace_path(dir, k)) {
-                eprintln!("fleet: warning: worker {k} trace not imported: {e}");
+                crate::errln!("fleet: warning: worker {k} trace not imported: {e}");
             }
         }
     }

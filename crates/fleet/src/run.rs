@@ -218,10 +218,10 @@ fn run_trials_sharded<R: Send>(
                 let percent = done * 100 / span as u64;
                 if percent != last_percent {
                     last_percent = percent;
-                    eprint!("\rfleet: {done}/{span} {progress_noun} ({percent}%)");
-                    if done == span as u64 {
-                        eprintln!();
-                    }
+                    let end = if done == span as u64 { "\n" } else { "" };
+                    crate::sink::print_stderr(format_args!(
+                        "\rfleet: {done}/{span} {progress_noun} ({percent}%){end}"
+                    ));
                 }
             }
             Ok(())
@@ -350,6 +350,20 @@ impl DedupPlan {
             .collect();
         DedupPlan { members, exec_counts }
     }
+
+    /// The global trial range worker `index` of `count` executes: its
+    /// [`shard_bounds`] share of the trials left to run after dedup.
+    fn worker_range(&self, index: usize, count: usize) -> (usize, usize) {
+        shard_bounds(self.exec_counts.iter().sum(), index, count)
+    }
+}
+
+/// The global trial range worker `index` of `count` executes for
+/// `plan`. Duplicate jobs run once, so the ranges split fewer trials
+/// than [`TrialPlan::total_trials`] when the plan repeats a job.
+pub(crate) fn worker_range(plan: &TrialPlan, index: usize, count: usize) -> (usize, usize) {
+    let job_keys: Vec<String> = plan.jobs.iter().map(|j| j.key(plan.base_seed)).collect();
+    DedupPlan::of(plan, &job_keys).worker_range(index, count)
 }
 
 /// Freshly executed results buffered before being flushed to the store
@@ -368,8 +382,7 @@ fn run_plan_inner(
     let watch = sleepy_telemetry::stopwatch("run", "static-plan");
     let job_keys: Vec<String> = plan.jobs.iter().map(|j| j.key(plan.base_seed)).collect();
     let dedup = DedupPlan::of(plan, &job_keys);
-    let total_exec: usize = dedup.exec_counts.iter().sum();
-    let range = shard.map(|(index, count)| shard_bounds(total_exec, index, count));
+    let range = shard.map(|(index, count)| dedup.worker_range(index, count));
 
     let mut aggregates: Vec<JobAggregate> = plan.jobs.iter().map(|_| JobAggregate::new()).collect();
     let mut stats = CacheStats::default();

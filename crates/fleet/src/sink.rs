@@ -1,5 +1,5 @@
 //! Result sinks: per-trial JSONL logs, aggregate JSON/CSV writers, and
-//! the stdout writer the command-line runners print through.
+//! the stdout and stderr writers the command-line runners print through.
 //!
 //! The runner feeds sinks in global trial order (and, within a dynamic
 //! trial, phase order), so every sink's output is byte-identical across
@@ -20,12 +20,29 @@ pub fn print_stdout(args: std::fmt::Arguments<'_>) {
     }
 }
 
+/// [`print_stdout`]'s twin for stderr: a closed stderr is not an error
+/// either, and any other write failure panics, as `eprint!`'s does.
+pub fn print_stderr(args: std::fmt::Arguments<'_>) {
+    if let Err(e) = io::stderr().write_fmt(args) {
+        assert!(e.kind() == io::ErrorKind::BrokenPipe, "failed printing to stderr: {e}");
+    }
+}
+
 /// `println!` through [`print_stdout`](crate::sink::print_stdout): a
 /// closed stdout is not an error.
 #[macro_export]
 macro_rules! outln {
     ($($arg:tt)*) => {
         $crate::sink::print_stdout(format_args!("{}\n", format_args!($($arg)*)))
+    };
+}
+
+/// `eprintln!` through [`print_stderr`](crate::sink::print_stderr): a
+/// closed stderr is not an error.
+#[macro_export]
+macro_rules! errln {
+    ($($arg:tt)*) => {
+        $crate::sink::print_stderr(format_args!("{}\n", format_args!($($arg)*)))
     };
 }
 

@@ -131,6 +131,19 @@ fn exhausted_retries_fail_with_a_classified_worker_error() {
         }
         other => panic!("expected FleetError::Worker, got: {other}"),
     }
+    // A repeated job executes once, so the workers split the 6 trials
+    // left after dedup, not all 9: the error names the range the worker
+    // really runs.
+    let mut repeated = small_plan();
+    repeated.push(repeated.jobs[0].clone());
+    match run_plan_sharded_procs_supervised(&repeated, &cfg, &procs, &dir, &mut []) {
+        Err(FleetError::Worker { id, range, .. }) => {
+            assert_eq!(range, sleepy_fleet::shard_bounds(6, id, 2));
+            let ran = sleepy_fleet::run_plan_shard(&repeated, &cfg, &mut [], None, id, 2).unwrap();
+            assert_eq!(ran.total_trials, (range.1 - range.0) as u64);
+        }
+        other => panic!("expected FleetError::Worker, got: {other:?}"),
+    }
     std::fs::remove_dir_all(&dir).unwrap();
 }
 

@@ -12,6 +12,7 @@
 
 #![forbid(unsafe_code)]
 
+use sleepy_fleet::errln;
 use sleepy_harness::experiments::{run_all, Experiment, EXPERIMENTS};
 use sleepy_harness::output::default_results_dir;
 use std::process::ExitCode;
@@ -24,11 +25,11 @@ fn main() -> ExitCode {
         names.iter().filter(|n| *n != "all" && !EXPERIMENTS.iter().any(|e| e.name == *n)).collect();
     if names.is_empty() || !unknown.is_empty() {
         for name in unknown {
-            eprintln!("experiments: unknown experiment `{name}`");
+            errln!("experiments: unknown experiment `{name}`");
         }
         let valid: Vec<&str> = EXPERIMENTS.iter().map(|e| e.name).collect();
-        eprintln!("usage: experiments <name>...|all [--quick]");
-        eprintln!("names: {} all", valid.join(" "));
+        errln!("usage: experiments <name>...|all [--quick]");
+        errln!("names: {} all", valid.join(" "));
         return ExitCode::FAILURE;
     }
     let selected: Vec<Experiment> =

@@ -25,7 +25,7 @@ use crate::robustness::{run_robustness, RobustnessConfig, RobustnessReport};
 use crate::table1::{run_table1, Table1Config, Table1Report};
 use crate::theorems::{run_theorems, TheoremsConfig, TheoremsReport};
 use serde::Serialize;
-use sleepy_fleet::outln;
+use sleepy_fleet::{errln, outln};
 use std::path::Path;
 
 /// A paper verdict: `Err(reason)` when a result contradicts the paper.
@@ -198,21 +198,21 @@ pub fn run_all(selected: &[Experiment], quick: bool, dir: &Path) -> u8 {
         match saved {
             Ok(Ok(())) => {}
             Ok(Err(reason)) => {
-                eprintln!("{name} CONTRADICTS THE PAPER: {reason}");
+                errln!("{name} CONTRADICTS THE PAPER: {reason}");
                 contradicted += 1;
             }
             Err(e) => {
-                eprintln!("{name} FAILED: {e}");
+                errln!("{name} FAILED: {e}");
                 failed += 1;
             }
         }
     }
     outln!("\n################ summary ################");
     if failed > 0 {
-        eprintln!("{failed} experiment(s) failed");
+        errln!("{failed} experiment(s) failed");
         1
     } else if contradicted > 0 {
-        eprintln!("{contradicted} experiment(s) contradict the paper");
+        errln!("{contradicted} experiment(s) contradict the paper");
         2
     } else {
         outln!(
