@@ -219,7 +219,7 @@ fn parse_family(name: &str) -> Result<GraphFamily, String> {
     let int = |s: &str, what: &str| {
         s.parse::<usize>().map_err(|_| format!("bad {what} in family `{name}`"))
     };
-    match name {
+    let family = match name {
         "tree" => Ok(GraphFamily::Tree),
         "cycle" => Ok(GraphFamily::Cycle),
         "path" => Ok(GraphFamily::Path),
@@ -239,7 +239,9 @@ fn parse_family(name: &str) -> Result<GraphFamily, String> {
         }
         _ if name.starts_with("ba") => Ok(GraphFamily::BarabasiAlbert(int(&tail("ba"), "edges")?)),
         _ => Err(format!("unknown graph family `{name}` (try --help)")),
-    }
+    }?;
+    family.validate().map_err(|e| format!("bad family `{name}`: {e}"))?;
+    Ok(family)
 }
 
 fn parse_algos(spec: &str) -> Result<Vec<AlgoKind>, String> {
@@ -901,6 +903,7 @@ fn run_sweep(argv: &[String]) -> Result<(), String> {
             other => return Err(format!("unknown churn model `{other}` (try --help)")),
         },
     };
+    churn.validate().map_err(|e| format!("bad churn: {e}"))?;
     let plan = DynamicPlan::sweep(
         &families,
         &sizes,

@@ -42,7 +42,7 @@ pub fn plan_from_json(text: &str) -> Result<TrialPlan, FleetError> {
 fn job_from_value(v: &Value) -> Option<JobSpec> {
     let w = v.get("workload")?;
     let workload = Workload {
-        family: family_from_value(w.get("family")?)?,
+        family: family_from_value(w.get("family")?).filter(|f| f.validate().is_ok())?,
         n: w.get("n")?.as_u64()? as usize,
     };
     Some(JobSpec {

@@ -119,6 +119,21 @@ fn a_sweep_with_a_closed_stderr_writes_the_same_aggregates() {
     let _ = std::fs::remove_dir_all(&closed);
 }
 
+#[test]
+fn lint_usage_errors_keep_their_exit_code_with_a_closed_stderr() {
+    let missing = util::tmp_dir("fleet-cli", "lint-missing-root");
+    let cases: [Vec<&str>; 3] = [
+        vec!["lint", "--bogus"],
+        vec!["lint", "--root"],
+        vec!["lint", "--root", missing.to_str().unwrap()],
+    ];
+    for args in cases {
+        let mut cmd = fleet();
+        cmd.args(&args);
+        assert_eq!(run_with_closed_stderr(cmd).status.code(), Some(2), "fleet {args:?}");
+    }
+}
+
 /// Every entry point rejects a bad invocation when it parses its
 /// arguments: exit 1, one `fleet: ` message, no panic, and not a single
 /// file or directory created in the working directory.
@@ -126,17 +141,26 @@ fn a_sweep_with_a_closed_stderr_writes_the_same_aggregates() {
 fn bad_invocations_fail_before_writing_anything() {
     let scratch = util::tmp_dir("fleet-cli", "reject-plan");
     std::fs::create_dir_all(&scratch).unwrap();
+    let sweep = |family| {
+        sleepy_fleet::TrialPlan::sweep(
+            &[family],
+            &[16],
+            &[sleepy_fleet::AlgoKind::SleepingMis],
+            2,
+            7,
+            sleepy_fleet::Execution::Auto,
+        )
+    };
     let plan = scratch.join("plan.json");
-    let sweep = sleepy_fleet::TrialPlan::sweep(
-        &[sleepy_graph::GraphFamily::Cycle],
-        &[16],
-        &[sleepy_fleet::AlgoKind::SleepingMis],
-        2,
-        7,
-        sleepy_fleet::Execution::Auto,
-    );
-    std::fs::write(&plan, sleepy_fleet::plan_to_json(&sweep)).unwrap();
+    std::fs::write(&plan, sleepy_fleet::plan_to_json(&sweep(sleepy_graph::GraphFamily::Cycle)))
+        .unwrap();
     let plan = plan.to_str().unwrap();
+    // A plan file is input too: a family `generate` would reject fails
+    // the worker before it creates its store.
+    let bad_plan = scratch.join("bad-plan.json");
+    let bad = sweep(sleepy_graph::GraphFamily::GeometricAvgDeg(-1.0));
+    std::fs::write(&bad_plan, sleepy_fleet::plan_to_json(&bad)).unwrap();
+    let bad_plan = bad_plan.to_str().unwrap();
     let tape = tape("alg1_star8.jsonl");
     let tape = tape.to_str().unwrap();
     // A small sweep, so that a case a regression lets through ends fast.
@@ -200,6 +224,17 @@ fn bad_invocations_fail_before_writing_anything() {
         with_small(&["--shard-size", "0", "--out", "D"]),
         with_small(&["--shard-size", "0", "--dry-run"]),
         vec!["worker", "--plan", plan, "--shard", "3/2", "--store", "S"],
+        // Family parameters and churn fractions that the generators
+        // reject, checked before `--out` exists.
+        vec!["--families", "gnp-1", "--out", "D"],
+        vec!["--families", "geo-1", "--out", "D"],
+        vec!["--families", "geonan", "--out", "D"],
+        vec!["--families", "gnplog-1", "--out", "D"],
+        vec!["--families", "ba0", "--out", "D"],
+        vec!["record-tape", "--algo", "alg1", "--family", "geoinf", "--out", "T"],
+        with_small(&["--dynamic", "--edge-churn", "2", "--out", "D"]),
+        with_small(&["--dynamic", "--node-churn", "-1", "--out", "D"]),
+        vec!["worker", "--plan", bad_plan, "--shard", "0/1", "--store", "S"],
     ];
     for (i, args) in cases.iter().enumerate() {
         let dir = util::tmp_dir("fleet-cli", &format!("reject-{i}"));

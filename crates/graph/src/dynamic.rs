@@ -333,7 +333,15 @@ impl ChurnSpec {
             && self.node_insert_frac == 0.0
     }
 
-    fn validate(&self) -> Result<(), GraphError> {
+    /// Checks the churn intensities, the rule [`churn_delta`] applies
+    /// before it draws anything, so that a caller can reject a bad spec
+    /// before it runs anything.
+    ///
+    /// # Errors
+    ///
+    /// [`GraphError::InvalidParameter`] if a delete fraction lies outside
+    /// `[0, 1]` or an insert fraction is negative or not finite.
+    pub fn validate(&self) -> Result<(), GraphError> {
         let in_unit = |x: f64| x.is_finite() && (0.0..=1.0).contains(&x);
         let nonneg = |x: f64| x.is_finite() && x >= 0.0;
         if !in_unit(self.edge_delete_frac) || !in_unit(self.node_delete_frac) {

@@ -385,8 +385,9 @@ impl DynGraph {
         debug_assert_eq!(next as usize, self.n);
     }
 
-    /// Materializes the CSR [`Graph`] in compact-id order, in O(n + m
-    /// log m). This is the **rebuild counter** hot spot: every call
+    /// Materializes the CSR [`Graph`] in compact-id order, through
+    /// [`Graph::from_edges`]'s counting build. This is the **rebuild
+    /// counter** hot spot: every call
     /// increments [`rebuild_count`](DynGraph::rebuild_count), so a test
     /// can assert that an event-absorption loop never paid for one.
     pub fn snapshot(&self) -> Graph {

@@ -10,8 +10,12 @@ use rand::{Rng, SeedableRng};
 ///
 /// This is the standard model of an ad-hoc wireless or sensor network — the
 /// setting whose energy constraints motivate the sleeping model (paper §1.1).
-/// Uses a bucket grid of cell width `radius`, so the expected running time is
-/// O(n + m).
+/// The points are counting-sorted into a grid of square cells at least
+/// `radius` wide, with at most ⌊√n⌋ cells per side so that the grid never
+/// outgrows the point set. Each cell is then scanned against itself and its
+/// four forward neighbors (east, and the three cells of the next row), so
+/// every candidate pair is tested once, in memory order. The expected
+/// running time is O(n + m).
 ///
 /// # Errors
 ///
@@ -33,43 +37,62 @@ pub fn random_geometric(n: usize, radius: f64, seed: u64) -> Result<Graph, Graph
             reason: format!("geometric radius {radius} must be a nonnegative finite number"),
         });
     }
-    let mut rng = SmallRng::seed_from_u64(seed);
-    let pts: Vec<(f64, f64)> = (0..n).map(|_| (rng.gen::<f64>(), rng.gen::<f64>())).collect();
     if n == 0 || radius == 0.0 {
         return Graph::from_edges(n, []);
     }
-    // Bucket grid with cell width >= radius: all neighbors of a point lie in
-    // its own or the 8 adjacent cells.
-    let cells = (1.0 / radius).floor().max(1.0) as usize;
+    let mut rng = SmallRng::seed_from_u64(seed);
+    let pts: Vec<(f64, f64)> = (0..n).map(|_| (rng.gen::<f64>(), rng.gen::<f64>())).collect();
+    // Cells of width 1/cells >= radius: all neighbors of a point lie in its
+    // own or the 8 adjacent cells.
+    let cells = ((1.0 / radius) as usize).clamp(1, n.isqrt());
     let cell_of = |x: f64| ((x * cells as f64) as usize).min(cells - 1);
-    let mut grid: Vec<Vec<NodeId>> = vec![Vec::new(); cells * cells];
-    for (i, &(x, y)) in pts.iter().enumerate() {
-        grid[cell_of(y) * cells + cell_of(x)].push(i as NodeId);
+    // Counting sort into cell order: `start[c]` counts cell c, becomes
+    // the end of its run, and the fill walks it down to the run's start.
+    let mut start = vec![0usize; cells * cells + 1];
+    let cell: Vec<usize> = pts.iter().map(|&(x, y)| cell_of(y) * cells + cell_of(x)).collect();
+    for &c in &cell {
+        start[c] += 1;
     }
+    let mut acc = 0;
+    for s in &mut start {
+        acc += *s;
+        *s = acc;
+    }
+    let (mut ids, mut xs, mut ys) = (vec![0 as NodeId; n], vec![0.0; n], vec![0.0; n]);
+    for (i, &c) in cell.iter().enumerate().rev() {
+        start[c] -= 1;
+        let at = start[c];
+        (ids[at], xs[at], ys[at]) = (i as NodeId, pts[i].0, pts[i].1);
+    }
+    drop((pts, cell));
     let r2 = radius * radius;
     let mut edges: Vec<(NodeId, NodeId)> = Vec::new();
-    for (i, &(x, y)) in pts.iter().enumerate() {
-        let (cx, cy) = (cell_of(x), cell_of(y));
-        for dy in -1i64..=1 {
-            for dx in -1i64..=1 {
-                let nx = cx as i64 + dx;
-                let ny = cy as i64 + dy;
-                if nx < 0 || ny < 0 || nx >= cells as i64 || ny >= cells as i64 {
-                    continue;
-                }
-                for &j in &grid[ny as usize * cells + nx as usize] {
-                    if (j as usize) <= i {
-                        continue;
-                    }
-                    let (px, py) = pts[j as usize];
-                    let (ddx, ddy) = (px - x, py - y);
-                    if ddx * ddx + ddy * ddy <= r2 {
-                        edges.push((i as NodeId, j));
-                    }
-                }
+    let mut scan = |a: usize, others: std::ops::Range<usize>| {
+        for b in others {
+            let (dx, dy) = (xs[b] - xs[a], ys[b] - ys[a]);
+            if dx * dx + dy * dy <= r2 {
+                edges.push((ids[a], ids[b]));
+            }
+        }
+    };
+    for cy in 0..cells {
+        for cx in 0..cells {
+            let c = cy * cells + cx;
+            // The forward half of the neighborhood is two runs of adjacent
+            // cells: this one and its east neighbor, then the west, below
+            // and east cells of the next row.
+            let (west, east) = (usize::from(cx > 0), usize::from(cx + 1 < cells));
+            let row_end = start[c + 1 + east];
+            let below = c + cells;
+            let next_row =
+                if cy + 1 < cells { start[below - west]..start[below + 1 + east] } else { 0..0 };
+            for a in start[c]..start[c + 1] {
+                scan(a, a + 1..row_end);
+                scan(a, next_row.clone());
             }
         }
     }
+    drop((ids, xs, ys, start));
     Graph::from_edges(n, edges)
 }
 
@@ -106,25 +129,50 @@ mod tests {
         assert!(random_geometric(5, f64::NAN, 0).is_err());
     }
 
-    #[test]
-    fn bucket_grid_matches_brute_force() {
-        let n = 120;
-        let r = 0.17;
-        let g = random_geometric(n, r, 33).unwrap();
-        // Recompute points with the same RNG stream and brute-force edges.
-        let mut rng = SmallRng::seed_from_u64(33);
+    /// The same RNG stream, tested pair by pair.
+    fn brute_force(n: usize, r: f64, seed: u64) -> Graph {
+        let mut rng = SmallRng::seed_from_u64(seed);
         let pts: Vec<(f64, f64)> = (0..n).map(|_| (rng.gen::<f64>(), rng.gen::<f64>())).collect();
         let mut brute = Vec::new();
         for i in 0..n {
             for j in (i + 1)..n {
-                let (dx, dy) = (pts[i].0 - pts[j].0, pts[i].1 - pts[j].1);
+                let (dx, dy) = (pts[j].0 - pts[i].0, pts[j].1 - pts[i].1);
                 if dx * dx + dy * dy <= r * r {
                     brute.push((i as NodeId, j as NodeId));
                 }
             }
         }
-        let h = Graph::from_edges(n, brute).unwrap();
-        assert_eq!(g, h);
+        Graph::from_edges(n, brute).unwrap()
+    }
+
+    #[test]
+    fn bucket_grid_matches_brute_force() {
+        let cases: [(usize, f64, u64); 17] = [
+            (120, 0.17, 33),
+            // One, two and three cells per side, on and off the boundary
+            // radii 1, 1/2 and 1/3.
+            (150, 1.2, 1),
+            (150, 1.0, 2),
+            (150, 0.7, 3),
+            (150, 0.5, 4),
+            (150, 0.45, 5),
+            (150, 1.0 / 3.0, 6),
+            (150, 0.3, 7),
+            // 1/r exceeds ⌊√n⌋, so the grid is capped at ⌊√n⌋ per side.
+            (200, 0.05, 8),
+            (64, 0.01, 9),
+            (64, 1e-7, 10),
+            // Tiny graphs.
+            (1, 0.3, 11),
+            (2, 0.9, 12),
+            (2, 0.1, 13),
+            (3, 0.5, 14),
+            (3, 0.05, 15),
+            (3, 1.5, 16),
+        ];
+        for (n, r, seed) in cases {
+            assert_eq!(random_geometric(n, r, seed).unwrap(), brute_force(n, r, seed), "{n} {r}");
+        }
     }
 
     #[test]

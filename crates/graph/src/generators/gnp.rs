@@ -44,14 +44,17 @@ pub fn gnp(n: usize, p: f64, seed: u64) -> Result<Graph, GraphError> {
         return Graph::from_edges(n, edges);
     }
     // Walk the strictly-upper-triangular adjacency in row-major order,
-    // jumping ahead by geometrically distributed gaps.
-    let log_q = (1.0 - p).ln();
+    // jumping ahead by geometrically distributed gaps. Below p = 2^-53,
+    // 1 - p rounds to 1 and its log to 0, which would make every gap -∞:
+    // ln_1p keeps those p apart from 0, the saturating adds take the huge
+    // gaps, and every other p's gaps are as they were.
+    let log_q = if 1.0 - p < 1.0 { (1.0 - p).ln() } else { (-p).ln_1p() };
     let mut v: i64 = 1;
     let mut w: i64 = -1;
     let n_i = n as i64;
     while v < n_i {
         let r: f64 = rng.gen_range(f64::MIN_POSITIVE..1.0);
-        w += 1 + (r.ln() / log_q).floor() as i64;
+        w = w.saturating_add((r.ln() / log_q).floor() as i64).saturating_add(1);
         while w >= v && v < n_i {
             w -= v;
             v += 1;
@@ -126,6 +129,13 @@ mod tests {
     fn deterministic_per_seed() {
         assert_eq!(gnp(100, 0.07, 3).unwrap(), gnp(100, 0.07, 3).unwrap());
         assert_ne!(gnp(100, 0.07, 3).unwrap(), gnp(100, 0.07, 4).unwrap());
+    }
+
+    #[test]
+    fn a_probability_below_2_pow_minus_53_draws_no_edge() {
+        for p in [1e-17, 1e-300, f64::MIN_POSITIVE] {
+            assert_eq!(gnp(1000, p, 1).unwrap().m(), 0, "p = {p}");
+        }
     }
 
     #[test]

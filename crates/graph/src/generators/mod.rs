@@ -77,14 +77,45 @@ pub enum GraphFamily {
 }
 
 impl GraphFamily {
+    /// Checks the family's parameter on its own, so that a caller can
+    /// reject a bad family before it runs anything. It rejects exactly
+    /// the parameters [`generate`](GraphFamily::generate) rejects at some
+    /// n >= 2, and `generate` calls it first.
+    ///
+    /// # Errors
+    ///
+    /// [`GraphError::InvalidParameter`] for a negative or non-finite
+    /// average degree or log-density, or a Barabási–Albert attachment
+    /// count of 0.
+    pub fn validate(&self) -> Result<(), GraphError> {
+        let (what, x) = match *self {
+            GraphFamily::GnpAvgDeg(d) | GraphFamily::GeometricAvgDeg(d) => ("average degree", d),
+            GraphFamily::GnpLogDensity(c) => ("log-density", c),
+            GraphFamily::BarabasiAlbert(0) => {
+                return Err(GraphError::InvalidParameter {
+                    reason: "Barabási–Albert attachment count m must be >= 1".to_string(),
+                })
+            }
+            _ => return Ok(()),
+        };
+        if x.is_finite() && x >= 0.0 {
+            Ok(())
+        } else {
+            Err(GraphError::InvalidParameter {
+                reason: format!("{what} {x} must be a nonnegative finite number"),
+            })
+        }
+    }
+
     /// Generates an instance of this family with `n` nodes (or, for
     /// [`GraphFamily::Hypercube`], the largest power of two at most `n`).
     ///
     /// # Errors
     ///
-    /// Propagates the underlying generator error, e.g.
-    /// [`GraphError::InvalidParameter`] for an infeasible degree.
+    /// What [`validate`](GraphFamily::validate) rejects, and otherwise
+    /// the underlying generator error, e.g. [`GraphError::TooManyNodes`].
     pub fn generate(&self, n: usize, seed: u64) -> Result<Graph, GraphError> {
+        self.validate()?;
         match *self {
             GraphFamily::GnpAvgDeg(d) => gnp_avg_degree(n, d, seed),
             GraphFamily::GnpLogDensity(c) => {
@@ -224,6 +255,61 @@ mod tests {
                 assert!(g.n() <= n, "{fam} n={n} produced {} nodes", g.n());
             }
         }
+    }
+
+    #[test]
+    fn validate_rejects_bad_parameters_at_every_size() {
+        let bad = [
+            GraphFamily::GnpAvgDeg(-1.0),
+            GraphFamily::GnpAvgDeg(f64::NAN),
+            GraphFamily::GnpLogDensity(-1.0),
+            GraphFamily::GnpLogDensity(f64::INFINITY),
+            GraphFamily::GeometricAvgDeg(-1.0),
+            GraphFamily::GeometricAvgDeg(f64::NAN),
+            GraphFamily::GeometricAvgDeg(f64::INFINITY),
+            GraphFamily::GeometricAvgDeg(f64::NEG_INFINITY),
+            GraphFamily::BarabasiAlbert(0),
+        ];
+        for fam in bad {
+            assert!(matches!(fam.validate(), Err(GraphError::InvalidParameter { .. })), "{fam}");
+            for n in [0, 1, 2, 64] {
+                assert_eq!(fam.generate(n, 1), Err(fam.validate().unwrap_err()), "{fam} n={n}");
+            }
+        }
+    }
+
+    /// What `validate` accepts, `generate` builds at every size: no
+    /// parameter fails later than the check.
+    #[test]
+    fn validate_accepts_only_what_generate_builds() {
+        let xs = [-0.0, 0.0, 1e-300, 0.5, 3.0, 1e300, f64::MAX];
+        let mut fams: Vec<GraphFamily> = ALL_FAMILIES.to_vec();
+        for x in xs {
+            fams.extend([
+                GraphFamily::GnpAvgDeg(x),
+                GraphFamily::GnpLogDensity(x),
+                GraphFamily::GeometricAvgDeg(x),
+            ]);
+        }
+        for k in [1, 2, 5, 1000] {
+            fams.extend([GraphFamily::BarabasiAlbert(k), GraphFamily::RandomRegular(k)]);
+        }
+        for fam in fams {
+            fam.validate().unwrap_or_else(|e| panic!("{fam}: {e}"));
+            for n in [0, 1, 2, 3, 17, 64] {
+                fam.generate(n, 3).unwrap_or_else(|e| panic!("{fam} n={n}: {e}"));
+            }
+        }
+    }
+
+    #[test]
+    fn geometric_degree_zero_is_edgeless_and_a_tiny_one_is_cheap() {
+        let g = GraphFamily::GeometricAvgDeg(0.0).generate(64, 1).unwrap();
+        assert_eq!((g.n(), g.m()), (64, 0));
+        // Radius ~2e-6: sized by 1/r², the grid would have ~2·10¹¹
+        // cells; sized by ⌊√n⌋ it has 64.
+        let g = GraphFamily::GeometricAvgDeg(1e-9).generate(64, 1).unwrap();
+        assert_eq!((g.n(), g.m()), (64, 0));
     }
 
     #[test]

@@ -43,7 +43,15 @@ impl Graph {
     /// Duplicate edges (in either orientation) are collapsed. Edge order does
     /// not affect the result.
     ///
+    /// A counting build in O(n + m + Σ d log d) for m input pairs and
+    /// final degrees d: both endpoints of each pair are counted, each pair
+    /// is scattered into per-node slots, and each node's short list is
+    /// sorted and deduplicated in place.
+    ///
     /// # Errors
+    ///
+    /// Pairs are checked in iteration order; the first bad one names the
+    /// error.
     ///
     /// * [`GraphError::TooManyNodes`] if `n` exceeds the `u32` index space.
     /// * [`GraphError::NodeOutOfRange`] if an endpoint is `>= n`.
@@ -55,8 +63,12 @@ impl Graph {
         if n > u32::MAX as usize {
             return Err(GraphError::TooManyNodes { n });
         }
-        let mut deg = vec![0usize; n];
-        let mut pairs: Vec<(NodeId, NodeId)> = Vec::new();
+        let edges = edges.into_iter();
+        let mut pairs: Vec<(NodeId, NodeId)> = Vec::with_capacity(edges.size_hint().0);
+        // `offsets[v]` first counts v's endpoints, then (as a prefix sum)
+        // marks the end of v's slots, and is the fill cursor that the
+        // scatter moves down to the start of v's slots.
+        let mut offsets = vec![0usize; n + 1];
         for (u, v) in edges {
             if u as usize >= n {
                 return Err(GraphError::NodeOutOfRange { node: u as u64, n });
@@ -67,38 +79,40 @@ impl Graph {
             if u == v {
                 return Err(GraphError::SelfLoop { node: u });
             }
-            let (a, b) = if u < v { (u, v) } else { (v, u) };
-            pairs.push((a, b));
+            offsets[u as usize] += 1;
+            offsets[v as usize] += 1;
+            pairs.push((u, v));
         }
-        pairs.sort_unstable();
-        pairs.dedup();
-        for &(a, b) in &pairs {
-            deg[a as usize] += 1;
-            deg[b as usize] += 1;
-        }
-        let mut offsets = Vec::with_capacity(n + 1);
         let mut acc = 0usize;
-        offsets.push(0);
-        for &d in deg.iter().take(n) {
-            acc += d;
-            offsets.push(acc);
+        for slot in &mut offsets {
+            acc += *slot;
+            *slot = acc;
         }
         let mut adj = vec![0 as NodeId; acc];
-        let mut cursor = offsets[..n].to_vec();
-        for &(a, b) in &pairs {
-            adj[cursor[a as usize]] = b;
-            cursor[a as usize] += 1;
-            adj[cursor[b as usize]] = a;
-            cursor[b as usize] += 1;
+        for &(u, v) in &pairs {
+            offsets[u as usize] -= 1;
+            adj[offsets[u as usize]] = v;
+            offsets[v as usize] -= 1;
+            adj[offsets[v as usize]] = u;
         }
-        // Each per-node slice is filled in ascending order of the partner id
-        // for the `a` side; the `b` side receives partners in ascending order
-        // of `a` as well because `pairs` is sorted by (a, b). Both sides are
-        // therefore already sorted, but we assert it in debug builds.
-        #[cfg(debug_assertions)]
+        drop(pairs);
+        // Sort each node's slots and move its distinct neighbors down to
+        // `len`, which never passes the slot being read.
+        let mut len = 0usize;
         for v in 0..n {
-            debug_assert!(adj[offsets[v]..offsets[v + 1]].windows(2).all(|w| w[0] < w[1]));
+            let slots = offsets[v]..offsets[v + 1];
+            offsets[v] = len;
+            adj[slots.clone()].sort_unstable();
+            for i in slots {
+                if len == offsets[v] || adj[len - 1] != adj[i] {
+                    adj[len] = adj[i];
+                    len += 1;
+                }
+            }
         }
+        offsets[n] = len;
+        adj.truncate(len);
+        adj.shrink_to_fit();
         Ok(Graph { n, offsets, adj })
     }
 

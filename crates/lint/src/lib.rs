@@ -255,6 +255,16 @@ fn print_stdout(args: std::fmt::Arguments<'_>) {
     }
 }
 
+/// [`print_stdout`]'s twin for stderr: a closed stderr changes neither
+/// the exit code nor the report, and any other write failure panics, as
+/// `eprint!`'s does.
+fn print_stderr(args: std::fmt::Arguments<'_>) {
+    use std::io::Write;
+    if let Err(e) = std::io::stderr().write_fmt(args) {
+        assert!(e.kind() == std::io::ErrorKind::BrokenPipe, "failed printing to stderr: {e}");
+    }
+}
+
 /// The shared CLI driver behind `sleepy-lint` and `fleet lint`.
 /// `args` excludes the program/subcommand name. Returns the exit code.
 pub fn run_cli(args: &[String]) -> i32 {
@@ -277,12 +287,12 @@ pub fn run_cli(args: &[String]) -> i32 {
             "--root" => match it.next() {
                 Some(dir) => root = Some(PathBuf::from(dir)),
                 None => {
-                    eprintln!("sleepy-lint: missing value for --root");
+                    print_stderr(format_args!("sleepy-lint: missing value for --root\n"));
                     return 2;
                 }
             },
             other => {
-                eprintln!("sleepy-lint: unknown flag `{other}` (try --help)");
+                print_stderr(format_args!("sleepy-lint: unknown flag `{other}` (try --help)\n"));
                 return 2;
             }
         }
@@ -294,10 +304,10 @@ pub fn run_cli(args: &[String]) -> i32 {
             match find_root(&cwd) {
                 Some(r) => r,
                 None => {
-                    eprintln!(
-                        "sleepy-lint: no {CONFIG_FILE} found above {} (use --root)",
+                    print_stderr(format_args!(
+                        "sleepy-lint: no {CONFIG_FILE} found above {} (use --root)\n",
                         cwd.display()
-                    );
+                    ));
                     return 2;
                 }
             }
@@ -306,7 +316,7 @@ pub fn run_cli(args: &[String]) -> i32 {
     let report = match run(&root) {
         Ok(report) => report,
         Err(e) => {
-            eprintln!("sleepy-lint: {e}");
+            print_stderr(format_args!("sleepy-lint: {e}\n"));
             return 2;
         }
     };
@@ -318,18 +328,18 @@ pub fn run_cli(args: &[String]) -> i32 {
         }
     }
     if report.is_clean() {
-        eprintln!(
-            "sleepy-lint: clean — {} files scanned, {} rules enforced",
+        print_stderr(format_args!(
+            "sleepy-lint: clean — {} files scanned, {} rules enforced\n",
             report.files_scanned,
             RULES.len()
-        );
+        ));
         0
     } else {
-        eprintln!(
-            "sleepy-lint: {} diagnostic(s) in {} files scanned",
+        print_stderr(format_args!(
+            "sleepy-lint: {} diagnostic(s) in {} files scanned\n",
             report.diagnostics.len(),
             report.files_scanned
-        );
+        ));
         1
     }
 }
